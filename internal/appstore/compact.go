@@ -1,9 +1,11 @@
 package appstore
 
 import (
-	"encoding/binary"
 	"fmt"
+	"io"
 	"os"
+
+	"repro/internal/seglog"
 )
 
 // Prune keeps at most keep most-recent records per application,
@@ -151,106 +153,94 @@ func (s *Store) Compact() error {
 	return s.compactLocked()
 }
 
-// compactLocked copies the live records of every closed segment that
-// carries dead ones into a fresh segment (raw frame bytes — payloads
-// are immutable, so no re-encode), publishes it with an atomic rename,
-// then deletes the victims. Crash anywhere in between is safe: before
-// the rename the .tmp file is invisible (and swept at open); after it,
-// records existing in both the new segment and an undeleted victim are
-// deduplicated by sequence number at open.
+// compactLocked rewrites every closed segment that carries dead
+// records without them (see copyForwardLocked), deleting the victims.
 func (s *Store) compactLocked() error {
 	victims := make(map[uint64]bool)
-	copies := 0
 	for no, info := range s.segs {
-		if no == s.seg || info.dead == 0 {
-			continue
+		if no != s.seg && info.dead > 0 {
+			victims[no] = true
 		}
-		victims[no] = true
-		copies += info.live
 	}
 	if len(victims) == 0 {
 		return nil
+	}
+	copies, removed, err := s.copyForwardLocked(victims, false)
+	if err != nil {
+		return err
+	}
+	s.stats.Compactions++
+	s.opt.Logf("appstore: compacted %d segment(s): dropped %d dead record(s), carried %d live", len(victims), removed, copies)
+	return s.persistTombstonesLocked()
+}
+
+// copyForwardLocked copies the live records of the victim segments into
+// one fresh segment — raw frame bytes, since payloads are immutable —
+// published atomically, then removes the victims: deleted, or with
+// quarantine moved aside as <segment>.corrupt. The index is repointed
+// at the copies and the victims' dead records dropped. A crash anywhere
+// is safe: before the publish the new segment is an invisible temp
+// file (swept at open); after it, records present both there and in a
+// surviving victim are deduplicated by sequence number at open. It
+// returns how many live records were carried and dead ones dropped.
+// Caller holds the write lock.
+func (s *Store) copyForwardLocked(victims map[uint64]bool, quarantine bool) (copies, removed int, err error) {
+	for no := range victims {
+		copies += s.segs[no].live
 	}
 	var newSeg uint64
 	newOff := make(map[uint64]int64) // seq -> offset in the new segment
 	if copies > 0 {
 		newSeg = s.nextSegNoLocked()
-		path := segPath(s.dir, newSeg)
-		tmp := path + ".tmp"
-		f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+		var size int64
+		err = seglog.Publish(segPath(s.dir, newSeg), func(w io.Writer) error {
+			hdr := seglog.AppendHeader(nil, segMagic, segVersion)
+			if _, err := w.Write(hdr); err != nil {
+				return err
+			}
+			size = int64(len(hdr))
+			for i := range s.entries {
+				e := &s.entries[i]
+				if e.dead || !victims[e.seg] {
+					continue
+				}
+				rd, err := s.readHandle(e.seg, s.segs[e.seg])
+				if err != nil {
+					return err
+				}
+				if _, err := io.CopyN(w, io.NewSectionReader(rd, e.off, e.n), e.n); err != nil {
+					return fmt.Errorf("copy record %d: %w", e.seq, err)
+				}
+				newOff[e.seq] = size
+				size += e.n
+			}
+			return nil
+		})
 		if err != nil {
-			return fmt.Errorf("appstore: create %s: %w", tmp, err)
+			return 0, 0, fmt.Errorf("appstore: write segment %d: %w", newSeg, err)
 		}
-		fail := func(err error) error {
-			f.Close()
-			os.Remove(tmp)
-			return err
-		}
-		var hdr [headerSize]byte
-		copy(hdr[:4], segMagic[:])
-		binary.LittleEndian.PutUint32(hdr[4:8], segVersion)
-		if _, err := f.Write(hdr[:]); err != nil {
-			return fail(fmt.Errorf("appstore: write header %s: %w", tmp, err))
-		}
-		off := int64(headerSize)
-		frame := make([]byte, 0, 4096)
-		for i := range s.entries {
-			e := &s.entries[i]
-			if e.dead || !victims[e.seg] {
-				continue
-			}
-			if cap(frame) < int(e.n) {
-				frame = make([]byte, e.n)
-			}
-			frame = frame[:e.n]
-			rd, err := s.readHandle(e.seg, s.segs[e.seg])
-			if err != nil {
-				return fail(fmt.Errorf("appstore: open victim segment %d: %w", e.seg, err))
-			}
-			if _, err := rd.ReadAt(frame, e.off); err != nil {
-				return fail(fmt.Errorf("appstore: read record %d for compaction: %w", e.seq, err))
-			}
-			if _, err := f.Write(frame); err != nil {
-				return fail(fmt.Errorf("appstore: write %s: %w", tmp, err))
-			}
-			newOff[e.seq] = off
-			off += e.n
-		}
-		if err := f.Sync(); err != nil {
-			return fail(fmt.Errorf("appstore: sync %s: %w", tmp, err))
-		}
-		if err := f.Close(); err != nil {
-			os.Remove(tmp)
-			return fmt.Errorf("appstore: close %s: %w", tmp, err)
-		}
-		if err := os.Rename(tmp, path); err != nil {
-			os.Remove(tmp)
-			return fmt.Errorf("appstore: publish segment %d: %w", newSeg, err)
-		}
-		if err := syncDir(s.dir); err != nil {
-			return err
-		}
-		s.segs[newSeg] = &segInfo{size: off}
+		s.segs[newSeg] = &segInfo{size: size}
 	}
-	// The new segment is durable; deleting the victims is now safe (a
-	// crash mid-delete leaves duplicates, deduplicated by seq at open).
+	// The new segment is durable; removing the victims is now safe (a
+	// crash mid-removal leaves duplicates, deduplicated by seq at open).
 	for no := range victims {
-		info := s.segs[no]
-		if info.rd != nil {
-			info.rd.Close()
+		if rd := s.segs[no].rd; rd != nil {
+			rd.Close()
 		}
-		if err := os.Remove(segPath(s.dir, no)); err != nil {
+		path := segPath(s.dir, no)
+		if quarantine {
+			if _, err := seglog.Quarantine(path, false); err != nil {
+				return 0, 0, fmt.Errorf("appstore: %w", err)
+			}
+		} else if err := os.Remove(path); err != nil {
 			s.opt.Logf("appstore: delete compacted segment %d: %v", no, err)
 		}
 		delete(s.segs, no)
 	}
-	if err := syncDir(s.dir); err != nil {
-		return err
+	if err := seglog.SyncDir(s.dir); err != nil {
+		return 0, 0, fmt.Errorf("appstore: %w", err)
 	}
-	// Rebuild the index: drop the dead entries that lived in victim
-	// segments, repoint the copied ones.
 	kept := s.entries[:0]
-	removed := 0
 	for i := range s.entries {
 		e := s.entries[i]
 		if victims[e.seg] {
@@ -268,8 +258,6 @@ func (s *Store) compactLocked() error {
 	if copies > 0 {
 		s.segs[newSeg].live = copies
 	}
-	s.stats.Compactions++
 	s.stats.DroppedRecords += int64(removed)
-	s.opt.Logf("appstore: compacted %d segment(s): dropped %d dead record(s), carried %d live", len(victims), removed, copies)
-	return s.persistTombstonesLocked()
+	return copies, removed, nil
 }

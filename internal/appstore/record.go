@@ -1,16 +1,16 @@
 // Package appstore is the fleet-scale storage engine behind the
 // application database (the paper's Figure-1 asset): an embedded,
 // stdlib-only log-structured store of finalized run records. Records
-// are appended to CRC32C-framed segment files — the framing and
-// torn-tail idioms proven in internal/wal — and an in-memory index,
-// rebuilt on open from the records' fixed headers alone (no JSON
-// decode), serves secondary lookups by application, class, verdict,
-// model hash, and finalize time plus a paginated Scan API. Compaction
-// rewrites segments that carry deleted records and a retention policy
-// (by age and by total bytes, floored so every application keeps its
-// newest runs and its fingerprint-dictionary entry) bounds disk use,
-// replacing the O(n) rewrite-the-world JSON persistence with an O(1)
-// append on the finalize hot path.
+// are appended to framed segment files (internal/seglog, the format
+// the journal uses) and an in-memory index, rebuilt on open from the
+// records' fixed headers alone (no JSON decode), serves secondary
+// lookups by application, class, verdict, model hash, and finalize
+// time plus a paginated Scan API. Compaction rewrites segments that
+// carry deleted records and a retention policy (by age and by total
+// bytes, floored so every application keeps its newest runs and its
+// fingerprint-dictionary entry) bounds disk use, replacing the O(n)
+// rewrite-the-world JSON persistence with an O(1) append on the
+// finalize hot path.
 package appstore
 
 import (

@@ -1,9 +1,8 @@
 package appstore
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -14,6 +13,7 @@ import (
 
 	"repro/internal/appclass"
 	"repro/internal/phase"
+	"repro/internal/seglog"
 )
 
 // Options parameterizes a store.
@@ -105,8 +105,8 @@ type segInfo struct {
 	size    int64
 	live    int
 	dead    int
-	corrupt bool // undecodable bytes seen at load; never reuse as active
-	dups    int  // frames skipped at load because their seq was already seen
+	corrupt bool     // undecodable bytes seen at load; never reuse as active
+	dups    int      // frames skipped at load because their seq was already seen
 	rd      *os.File // lazily opened read handle
 }
 
@@ -121,8 +121,8 @@ type Store struct {
 	mu      sync.RWMutex
 	rdMu    sync.Mutex // guards lazy opens of segInfo.rd under the read lock
 	f       *os.File   // active segment write handle
-	seg     uint64   // active segment number
-	size    int64    // active segment size
+	seg     uint64     // active segment number
+	size    int64      // active segment size
 	nextSeq uint64
 	entries []entry // ascending seq
 	byApp   map[string][]int
@@ -237,9 +237,9 @@ func (s *Store) load() error {
 	}
 	var segNos []uint64
 	for _, e := range ents {
-		if strings.HasSuffix(e.Name(), ".tmp") {
-			// A compaction that died before its atomic rename; the segment
-			// never became visible, so its contents are all elsewhere.
+		if _, ok := seglog.TempBase(e.Name()); ok {
+			// A compaction or sidecar write that died before its atomic
+			// rename; the file never became visible, so nothing is lost.
 			os.Remove(filepath.Join(s.dir, e.Name()))
 			continue
 		}
@@ -319,46 +319,43 @@ func (s *Store) load() error {
 // s.entries (unindexed; load() indexes after the global seq sort).
 func (s *Store) loadSegment(no uint64, newest bool, seen map[uint64]bool) error {
 	path := segPath(s.dir, no)
-	data, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return fmt.Errorf("appstore: read segment %d: %w", no, err)
 	}
-	if len(data) < headerSize || [4]byte(data[:4]) != segMagic ||
-		binary.LittleEndian.Uint32(data[4:8]) != segVersion {
+	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		return fmt.Errorf("appstore: stat segment %d: %w", no, err)
+	}
+	size := st.Size()
+	var hdr [headerSize]byte
+	_, rerr := io.ReadFull(f, hdr[:])
+	if v, herr := seglog.ParseHeader(hdr[:], segMagic); rerr != nil || herr != nil || v != segVersion {
 		// Nothing in this segment is readable. Quarantine it aside so it
 		// stops counting against the byte cap (and can be inspected), and
 		// so it is never reused as the active segment.
 		s.stats.CorruptFrames++
-		quarantine := path + ".corrupt"
-		if err := os.Rename(path, quarantine); err != nil {
+		quarantine, err := seglog.Quarantine(path, false)
+		if err != nil {
 			// Can't move it; keep tracking its real on-disk size (never a
 			// fabricated one, which would skew Stats.Bytes and retention)
 			// and flag it so it is neither appended to nor deleted.
-			s.segs[no] = &segInfo{size: int64(len(data)), corrupt: true}
+			s.segs[no] = &segInfo{size: size, corrupt: true}
 			s.opt.Logf("appstore: segment %d has a bad header and could not be quarantined (%v); ignoring its contents", no, err)
 			return nil
 		}
 		s.opt.Logf("appstore: segment %d has a bad header; quarantined to %s", no, quarantine)
 		return nil
 	}
-	info := &segInfo{size: int64(len(data))}
+	info := &segInfo{size: size}
 	s.segs[no] = info
-	off := int64(headerSize)
-	for off < int64(len(data)) {
-		rest := data[off:]
-		if int64(len(rest)) < frameSize {
-			break // torn frame header at the tail
-		}
-		plen := int64(binary.LittleEndian.Uint32(rest[:4]))
-		crc := binary.LittleEndian.Uint32(rest[4:8])
-		if plen <= 0 || plen > maxPayload || frameSize+plen > int64(len(rest)) {
+	sc := seglog.NewScanner(f, headerSize, size, maxPayload)
+	for sc.Next() {
+		if !sc.OK() {
 			break
 		}
-		payload := rest[frameSize : frameSize+plen]
-		if crc32.Checksum(payload, castagnoli) != crc {
-			break
-		}
-		m, _, err := decodeMeta(payload)
+		m, _, err := decodeMeta(sc.Payload())
 		if err != nil {
 			break
 		}
@@ -366,15 +363,17 @@ func (s *Store) loadSegment(no uint64, newest bool, seen map[uint64]bool) error 
 			seen[m.seq] = true
 			m.app = s.intern(m.app)
 			m.model = s.intern(m.model)
-			s.entries = append(s.entries, entry{meta: m, seg: no, off: off, n: frameSize + plen})
+			s.entries = append(s.entries, entry{meta: m, seg: no, off: sc.Off(), n: sc.End() - sc.Off()})
 		} else {
 			// A crash between a compaction's rename and its victim deletes
 			// leaves the same seq in two segments; the first copy wins.
 			info.dups++
 		}
-		off += frameSize + plen
 	}
-	if off < int64(len(data)) {
+	if err := sc.Err(); err != nil {
+		return fmt.Errorf("appstore: read segment %d: %w", no, err)
+	}
+	if off := sc.Valid(); off < size {
 		s.stats.CorruptFrames++
 		if newest {
 			// The normal crash shape: a torn append at the tail. Repair in
@@ -383,13 +382,13 @@ func (s *Store) loadSegment(no uint64, newest bool, seen map[uint64]bool) error 
 				return fmt.Errorf("appstore: repair torn tail of segment %d: %w", no, err)
 			}
 			info.size = off
-			s.opt.Logf("appstore: repaired torn tail of segment %d (truncated %d bytes)", no, int64(len(data))-off)
+			s.opt.Logf("appstore: repaired torn tail of segment %d (truncated %d bytes)", no, size-off)
 		} else {
 			// Corruption inside a closed segment is not a crash artifact;
 			// keep what decoded and say so loudly.
 			info.corrupt = true
 			s.opt.Logf("appstore: CORRUPTION in closed segment %d at offset %d; %d trailing bytes unreadable",
-				no, off, int64(len(data))-off)
+				no, off, size-off)
 		}
 	}
 	return nil
@@ -437,10 +436,7 @@ func (s *Store) openSegment(no uint64) error {
 	if err != nil {
 		return fmt.Errorf("appstore: create segment %s: %w", path, err)
 	}
-	var hdr [headerSize]byte
-	copy(hdr[:4], segMagic[:])
-	binary.LittleEndian.PutUint32(hdr[4:8], segVersion)
-	if _, err := f.Write(hdr[:]); err != nil {
+	if _, err := f.Write(seglog.AppendHeader(nil, segMagic, segVersion)); err != nil {
 		f.Close()
 		os.Remove(path)
 		return fmt.Errorf("appstore: write segment header %s: %w", path, err)
@@ -464,17 +460,15 @@ func (s *Store) Append(r *Record) error {
 		return fmt.Errorf("appstore: store is closed")
 	}
 	seq := s.nextSeq
-	buf := append(s.buf[:0], 0, 0, 0, 0, 0, 0, 0, 0)
+	buf, _ := seglog.Begin(s.buf[:0])
 	buf, err := appendRecordPayload(buf, seq, r)
 	if err != nil {
 		return err
 	}
-	payload := buf[frameSize:]
-	if len(payload) > maxPayload {
-		return fmt.Errorf("appstore: record payload %d bytes exceeds cap %d", len(payload), maxPayload)
+	if n := len(buf) - frameSize; n > maxPayload {
+		return fmt.Errorf("appstore: record payload %d bytes exceeds cap %d", n, maxPayload)
 	}
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[4:8], crc32.Checksum(payload, castagnoli))
+	seglog.Seal(buf, 0)
 	s.buf = buf
 	if _, err := s.f.Write(buf); err != nil {
 		// The active segment's tail is now suspect; the next open repairs
@@ -607,14 +601,12 @@ func (s *Store) readEntry(e *entry) (Record, error) {
 	if _, err := rd.ReadAt(buf, e.off); err != nil {
 		return Record{}, fmt.Errorf("appstore: read record %d from segment %d: %w", e.seq, e.seg, err)
 	}
-	plen := int64(binary.LittleEndian.Uint32(buf[:4]))
-	crc := binary.LittleEndian.Uint32(buf[4:8])
-	if plen != e.n-frameSize {
-		return Record{}, fmt.Errorf("appstore: record %d frame length drifted", e.seq)
+	payload, rest, err := seglog.Split(buf, maxPayload)
+	if err != nil {
+		return Record{}, fmt.Errorf("appstore: record %d failed its frame check: %w", e.seq, err)
 	}
-	payload := buf[frameSize:]
-	if crc32.Checksum(payload, castagnoli) != crc {
-		return Record{}, fmt.Errorf("appstore: record %d failed its checksum", e.seq)
+	if len(rest) != 0 {
+		return Record{}, fmt.Errorf("appstore: record %d frame length drifted", e.seq)
 	}
 	_, r, err := decodeRecordPayload(payload)
 	return r, err

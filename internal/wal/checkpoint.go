@@ -3,12 +3,15 @@ package wal
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
 	"time"
+
+	"repro/internal/seglog"
 )
 
 // Checkpoint is a durable snapshot of serving state (the server's
@@ -80,11 +83,10 @@ func listCheckpoints(dir string) ([]uint64, error) {
 	return out, nil
 }
 
-// SaveCheckpoint atomically writes a new checkpoint covering pos into
-// the journal directory — temp file, fsync, rename, exactly like the
-// application database's SaveFile — then prunes all but the newest
-// checkpointsToKeep files. modelHash is the hex compatibility hash of
-// the model the payload was serialized under ("" to leave the
+// SaveCheckpoint atomically publishes a new checkpoint covering pos
+// into the journal directory (seglog.Publish), then prunes all but the
+// newest checkpointsToKeep files. modelHash is the hex compatibility
+// hash of the model the payload was serialized under ("" to leave the
 // checkpoint unstamped). It returns the new checkpoint's sequence.
 func SaveCheckpoint(dir string, pos Position, takenAt time.Time, modelHash string, payload []byte) (uint64, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -108,29 +110,12 @@ func SaveCheckpoint(dir string, pos Position, takenAt time.Time, modelHash strin
 	if err != nil {
 		return 0, fmt.Errorf("wal: encode checkpoint: %w", err)
 	}
-	path := checkpointPath(dir, seq)
-	f, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
+	err = seglog.Publish(checkpointPath(dir, seq), func(w io.Writer) error {
+		_, err := w.Write(doc)
+		return err
+	})
 	if err != nil {
-		return 0, fmt.Errorf("wal: create temp in %s: %w", dir, err)
-	}
-	tmp := f.Name()
-	fail := func(err error) (uint64, error) {
-		f.Close()
-		os.Remove(tmp)
-		return 0, err
-	}
-	if _, err := f.Write(doc); err != nil {
-		return fail(fmt.Errorf("wal: write %s: %w", tmp, err))
-	}
-	if err := f.Sync(); err != nil {
-		return fail(fmt.Errorf("wal: sync %s: %w", tmp, err))
-	}
-	if err := f.Close(); err != nil {
-		return fail(fmt.Errorf("wal: close %s: %w", tmp, err))
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return 0, fmt.Errorf("wal: rename %s -> %s: %w", tmp, path, err)
+		return 0, fmt.Errorf("wal: save checkpoint: %w", err)
 	}
 	// Prune older checkpoints; failures here are cosmetic (stale files),
 	// not correctness problems, so they do not fail the save.

@@ -2,15 +2,14 @@
 // classification daemon: an append-only, segment-rotated write-ahead
 // journal of the profiler stream plus atomically written session
 // checkpoints, so that recovery after a crash is "load the latest
-// checkpoint, replay the journal tail". Records are length-prefixed and
-// CRC32C-protected; a torn write at the tail (the normal crash shape)
-// is detected and replay stops cleanly at the last valid record.
+// checkpoint, replay the journal tail". Records are internal/seglog
+// frames, length-prefixed and CRC32C-protected; a torn write at the
+// tail (the normal crash shape) is detected and replay stops cleanly at
+// the last valid record.
 package wal
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -21,6 +20,7 @@ import (
 	"time"
 
 	"repro/internal/metrics"
+	"repro/internal/seglog"
 )
 
 // Policy selects when the journal calls fsync.
@@ -192,7 +192,7 @@ type Journal struct {
 	// successful syncLocked makes every append so far durable.
 	syncedThrough int64
 	stats         Stats
-	done   bool
+	done          bool
 	// failed poisons the journal: set when a segment write failed and a
 	// fresh segment could not be opened, so the file offset may no longer
 	// match size and further appends would land after garbage bytes.
@@ -253,6 +253,7 @@ func Open(cfg Config) (*Journal, error) {
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: create %s: %w", cfg.Dir, err)
 	}
+	sweepTemps(cfg.Dir, cfg.Logf)
 	segs, err := listSegments(cfg.Dir)
 	if err != nil {
 		return nil, err
@@ -313,6 +314,32 @@ func listSegments(dir string) ([]closedSegment, error) {
 	return out, nil
 }
 
+// sweepTemps deletes the temp files a crash mid-publish leaves next to
+// segments and checkpoints — a half-written scrub repair or checkpoint
+// never became visible, so nothing in it is lost — along with the
+// <segment>.scrub repair temps of journals written before repairs went
+// through seglog.Publish. Left in place they would hold disk forever,
+// invisible to Stats.Bytes and the MaxBytes cap.
+func sweepTemps(dir string, logf func(string, ...any)) {
+	entries, _ := os.ReadDir(dir) // listSegments reports an unreadable directory
+	for _, e := range entries {
+		base, ok := seglog.TempBase(e.Name())
+		if !ok {
+			base, ok = strings.CutSuffix(e.Name(), ".scrub")
+		}
+		if !ok {
+			continue
+		}
+		_, seg := parseSegmentName(base)
+		_, ckpt := parseCheckpointName(base)
+		if seg || ckpt {
+			if err := os.Remove(filepath.Join(dir, e.Name())); err != nil {
+				logf("wal: remove stale temp file: %v", err)
+			}
+		}
+	}
+}
+
 // parseSegmentName extracts the sequence number from a segment file
 // name, reporting whether the name is a segment at all.
 func parseSegmentName(name string) (uint64, bool) {
@@ -335,11 +362,8 @@ func (j *Journal) openSegment(seq uint64) error {
 	if err != nil {
 		return fmt.Errorf("wal: create segment %s: %w", path, err)
 	}
-	var hdr [headerSize]byte
-	copy(hdr[:4], segmentMagic[:])
-	binary.LittleEndian.PutUint32(hdr[4:headerPrefixSize], segmentVersion)
-	copy(hdr[headerPrefixSize:], j.modelHash[:])
-	if _, err := f.Write(hdr[:]); err != nil {
+	hdr := seglog.AppendHeader(make([]byte, 0, headerSize), segmentMagic, segmentVersion)
+	if _, err := f.Write(append(hdr, j.modelHash[:]...)); err != nil {
 		f.Close()
 		os.Remove(path)
 		return fmt.Errorf("wal: write segment header %s: %w", path, err)
@@ -472,17 +496,15 @@ func (j *Journal) appendLocked(encode func([]byte) ([]byte, error)) (pos Positio
 	}
 	// Frame placeholder first so payload bytes land at their final
 	// offset in the shared buffer and one Write emits the whole record.
-	buf := append(j.buf[:0], 0, 0, 0, 0, 0, 0, 0, 0)
+	buf, _ := seglog.Begin(j.buf[:0])
 	buf, err = encode(buf)
 	if err != nil {
 		return Position{}, 0, false, err
 	}
-	payload := buf[frameSize:]
-	if len(payload) > maxPayload {
-		return Position{}, 0, false, fmt.Errorf("wal: record payload %d bytes exceeds cap %d", len(payload), maxPayload)
+	if n := len(buf) - frameSize; n > maxPayload {
+		return Position{}, 0, false, fmt.Errorf("wal: record payload %d bytes exceeds cap %d", n, maxPayload)
 	}
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[4:8], crc32.Checksum(payload, castagnoli))
+	seglog.Seal(buf, 0)
 	j.buf = buf
 	if _, err := j.f.Write(buf); err != nil {
 		// A failed (possibly partial) write leaves the file offset ahead

@@ -3,11 +3,11 @@ package wal
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"math"
 	"time"
 
 	"repro/internal/metrics"
+	"repro/internal/seglog"
 )
 
 // RecordType tags what a journal record carries.
@@ -31,18 +31,14 @@ type Record struct {
 	Snaps []metrics.Snapshot
 }
 
-// On-disk framing. Each segment starts with a header: magic + format
-// version (8 bytes), and from format version 2 a further 32-byte model
-// compatibility hash identifying the classifier every record in the
-// segment was appended under (a hot swap rotates to a fresh segment, so
-// one segment never mixes models). Version-1 segments (8-byte header,
-// no hash) remain readable. Every record is
-//
-//	uint32 payload length | uint32 CRC32C of payload | payload
-//
-// all little-endian. The CRC covers the payload only: a torn header is
-// detected by the length/CRC pair being garbage, a torn payload by the
-// CRC mismatch. Payloads are
+// On-disk format. Segments are framed segment files (see
+// internal/seglog for the frame and header-prefix layout) with magic
+// "ACWL". From format version 2 the header prefix is followed by the
+// 32-byte model compatibility hash identifying the classifier every
+// record in the segment was appended under (a hot swap rotates to a
+// fresh segment, so one segment never mixes models); version-1
+// segments (prefix only, no hash) remain readable. Each frame's
+// payload is one record:
 //
 //	byte type | u16 len(vm) | vm |                       (finalize)
 //	byte type | u16 len(vm) | vm | u32 count | u16 dims |
@@ -50,10 +46,10 @@ type Record struct {
 const (
 	segmentVersion   = 2
 	segmentVersionV1 = 1
-	headerPrefixSize = 8                                // magic + version
+	headerPrefixSize = seglog.PrefixSize                // magic + version
 	modelHashSize    = 32                               // sha256
 	headerSize       = headerPrefixSize + modelHashSize // version-2 header
-	frameSize        = 8                                // length + CRC
+	frameSize        = seglog.FrameSize                 // length + CRC
 	// maxPayload rejects garbage lengths during replay before any
 	// allocation happens: no legitimate record approaches 64 MiB.
 	maxPayload = 64 << 20
@@ -68,11 +64,6 @@ const (
 const SegmentFormatVersion = segmentVersion
 
 var segmentMagic = [4]byte{'A', 'C', 'W', 'L'}
-
-// castagnoli is the CRC32C polynomial table; Castagnoli has hardware
-// support on amd64/arm64, which keeps the checksum off the append
-// path's profile.
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // appendBatchPayload encodes a batch record payload onto buf.
 func appendBatchPayload(buf []byte, vm string, snaps []metrics.Snapshot) ([]byte, error) {

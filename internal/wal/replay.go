@@ -1,13 +1,13 @@
 package wal
 
 import (
-	"encoding/binary"
 	"encoding/hex"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
+
+	"repro/internal/seglog"
 )
 
 // SegmentInfo describes one scanned segment file.
@@ -131,112 +131,102 @@ func ScanSegment(path string, fn func(pos Position, rec Record) error) (SegmentI
 // header, whose size depends on the segment's format version) to the
 // first invalid frame or EOF.
 func scanSegment(path string, seq uint64, startOff int64, fn func(pos Position, rec Record) error) (SegmentInfo, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return SegmentInfo{}, fmt.Errorf("wal: open segment %s: %w", path, err)
-	}
-	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		return SegmentInfo{}, fmt.Errorf("wal: stat segment %s: %w", path, err)
-	}
-	info := SegmentInfo{Seq: seq, Path: path, Size: st.Size()}
-
-	hdrSize, err := readSegmentHeader(f, &info)
-	if err != nil || info.Torn {
+	info := SegmentInfo{Seq: seq, Path: path}
+	f, sc, err := openSegmentFrames(path, startOff, &info)
+	if err != nil || sc == nil {
 		return info, err
 	}
-	info.ValidBytes = hdrSize
-	if startOff > hdrSize {
-		if _, err := f.Seek(startOff, io.SeekStart); err != nil {
-			return info, fmt.Errorf("wal: seek segment %s: %w", path, err)
+	defer f.Close()
+	for sc.Next() {
+		if !sc.OK() {
+			info.Torn, info.TornReason = true, fmt.Sprintf("CRC mismatch at offset %d", sc.Off())
+			break
 		}
-		info.ValidBytes = startOff
-	}
-
-	var frame [frameSize]byte
-	var payload []byte
-	off := info.ValidBytes
-	for {
-		n, err := io.ReadFull(f, frame[:])
-		if err == io.EOF {
-			return info, nil // clean end at a record boundary
-		}
+		rec, err := decodePayload(sc.Payload())
 		if err != nil {
-			if err == io.ErrUnexpectedEOF {
-				info.Torn, info.TornReason = true, fmt.Sprintf("torn frame (%d of %d bytes) at offset %d", n, frameSize, off)
-				return info, nil
-			}
-			return info, fmt.Errorf("wal: read segment %s: %w", path, err)
+			info.Torn, info.TornReason = true, fmt.Sprintf("undecodable record at offset %d: %v", sc.Off(), err)
+			break
 		}
-		length := binary.LittleEndian.Uint32(frame[0:4])
-		crc := binary.LittleEndian.Uint32(frame[4:8])
-		if length == 0 || length > maxPayload {
-			info.Torn, info.TornReason = true, fmt.Sprintf("implausible record length %d at offset %d", length, off)
-			return info, nil
-		}
-		if cap(payload) < int(length) {
-			payload = make([]byte, length)
-		}
-		payload = payload[:length]
-		if _, err := io.ReadFull(f, payload); err != nil {
-			if err == io.EOF || err == io.ErrUnexpectedEOF {
-				info.Torn, info.TornReason = true, fmt.Sprintf("torn payload at offset %d", off)
-				return info, nil
-			}
-			return info, fmt.Errorf("wal: read segment %s: %w", path, err)
-		}
-		if got := crc32.Checksum(payload, castagnoli); got != crc {
-			info.Torn, info.TornReason = true, fmt.Sprintf("CRC mismatch at offset %d (want %08x, got %08x)", off, crc, got)
-			return info, nil
-		}
-		rec, err := decodePayload(payload)
-		if err != nil {
-			info.Torn, info.TornReason = true, fmt.Sprintf("undecodable record at offset %d: %v", off, err)
-			return info, nil
-		}
-		off += frameSize + int64(length)
-		info.ValidBytes = off
 		info.Records++
 		if fn != nil {
-			if err := fn(Position{Seg: seq, Off: off}, rec); err != nil {
+			if err := fn(Position{Seg: seq, Off: sc.End()}, rec); err != nil {
+				info.ValidBytes = sc.End()
 				return info, err
 			}
 		}
 	}
+	info.ValidBytes = sc.Valid()
+	if reason := sc.Torn(); reason != "" {
+		info.Torn, info.TornReason = true, reason
+	}
+	if err := sc.Err(); err != nil {
+		return info, fmt.Errorf("wal: read segment %s: %w", path, err)
+	}
+	return info, nil
+}
+
+// openSegmentFrames opens the segment at path, validates its header
+// into info and returns the open file (the caller closes it) with a
+// frame scanner positioned at startOff, or just past the header when
+// startOff is smaller. An unusable header sets info.Torn and returns
+// no file or scanner.
+func openSegmentFrames(path string, startOff int64, info *SegmentInfo) (*os.File, *seglog.Scanner, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, nil, fmt.Errorf("wal: open segment %s: %w", path, err)
+	}
+	st, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return nil, nil, fmt.Errorf("wal: stat segment %s: %w", path, err)
+	}
+	info.Size = st.Size()
+	off := readSegmentHeader(f, info)
+	if info.Torn {
+		f.Close()
+		return nil, nil, nil
+	}
+	if startOff > off {
+		if _, err := f.Seek(startOff, io.SeekStart); err != nil {
+			f.Close()
+			return nil, nil, fmt.Errorf("wal: seek segment %s: %w", path, err)
+		}
+		off = startOff
+	}
+	info.ValidBytes = off
+	return f, seglog.NewScanner(f, off, info.Size, maxPayload), nil
 }
 
 // readSegmentHeader validates a segment's header, filling the info's
 // Version/ModelHash, and returns the header size (where records start).
 // A torn or unsupported header is reported via info.Torn with
 // ValidBytes 0, never as an error.
-func readSegmentHeader(f *os.File, info *SegmentInfo) (int64, error) {
-	var pre [headerPrefixSize]byte
-	if _, err := io.ReadFull(f, pre[:]); err != nil {
+func readSegmentHeader(r io.Reader, info *SegmentInfo) int64 {
+	var hdr [headerSize]byte
+	if _, err := io.ReadFull(r, hdr[:headerPrefixSize]); err != nil {
 		info.Torn, info.TornReason = true, "short segment header"
-		return 0, nil
+		return 0
 	}
-	if [4]byte(pre[:4]) != segmentMagic {
-		info.Torn, info.TornReason = true, "bad segment magic"
-		return 0, nil
+	v, err := seglog.ParseHeader(hdr[:], segmentMagic)
+	if err != nil {
+		info.Torn, info.TornReason = true, err.Error()
+		return 0
 	}
-	info.Version = binary.LittleEndian.Uint32(pre[4:])
-	switch info.Version {
+	info.Version = v
+	switch v {
 	case segmentVersionV1:
 		// Pre-model-hash format: records start right after the prefix.
-		return headerPrefixSize, nil
+		return headerPrefixSize
 	case segmentVersion:
-		var h [modelHashSize]byte
-		if _, err := io.ReadFull(f, h[:]); err != nil {
+		if _, err := io.ReadFull(r, hdr[headerPrefixSize:]); err != nil {
 			info.Torn, info.TornReason = true, "short segment header"
-			return 0, nil
+			return 0
 		}
-		info.ModelHash = hex.EncodeToString(h[:])
-		return headerSize, nil
-	default:
-		info.Torn, info.TornReason = true, fmt.Sprintf("unsupported segment version %d", info.Version)
-		return 0, nil
+		info.ModelHash = hex.EncodeToString(hdr[headerPrefixSize:])
+		return headerSize
 	}
+	info.Torn, info.TornReason = true, fmt.Sprintf("unsupported segment version %d", v)
+	return 0
 }
 
 // VerifyDir scans every segment in dir and returns their infos, oldest
@@ -278,11 +268,8 @@ func SegmentHashes(dir string, from uint64) (map[uint64]string, error) {
 			return nil, fmt.Errorf("wal: open segment %s: %w", path, err)
 		}
 		var info SegmentInfo
-		_, err = readSegmentHeader(f, &info)
+		readSegmentHeader(f, &info)
 		f.Close()
-		if err != nil {
-			return nil, err
-		}
 		if info.Torn {
 			continue
 		}

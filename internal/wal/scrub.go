@@ -1,13 +1,12 @@
 package wal
 
 import (
-	"bufio"
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
+
+	"repro/internal/seglog"
 )
 
 // Scrubbing proactively re-verifies sealed segments frame-by-frame, so
@@ -66,248 +65,97 @@ type ScrubReport struct {
 // Damaged reports whether the scan found anything wrong at all.
 func (r ScrubReport) Damaged() bool { return r.BadFrames > 0 || r.TornTail }
 
-// frameSpan is one intact frame's extent inside a scanned segment.
+// frameSpan is one extent of a segment file a repair copies forward.
 type frameSpan struct {
 	off int64
 	n   int64
 }
 
-// scrubScan walks every frame of the segment at path, tolerating bad
-// frames: a frame whose CRC mismatches (or whose payload does not
-// decode) but whose extent still fits the file is recorded as bad and
-// stepped over, so one flipped bit does not hide the records behind
-// it. A frame whose length field is implausible or runs past EOF ends
-// the walk as a torn tail — the length cannot be trusted, so nothing
-// after it can be located. Returns the raw file bytes and the spans of
-// intact frames for repair use.
-func scrubScan(path string, seq uint64) (ScrubReport, []byte, int64, []frameSpan, error) {
+// scrubSegment walks every frame of the segment at path, stepping over
+// bad frames: a frame whose CRC mismatches but whose extent still fits
+// the file is counted bad and skipped, so one flipped bit does not
+// hide the records behind it. A frame whose length field is
+// implausible or runs past EOF ends the walk as a torn tail — the
+// length cannot be trusted, so nothing after it can be located.
+//
+// Without full this is the live scrubber's fast path, cheap enough to
+// run next to hot ingest: it checks CRCs without decoding payloads.
+// CRC-valid frames whose payload would not decode are not flagged
+// there (the encoder wrote them, so they cannot occur from bit rot);
+// with full they count as bad too, and the extents worth keeping — the
+// header and every intact frame — are returned for the repair.
+func scrubSegment(path string, seq uint64, full bool) (ScrubReport, []frameSpan, error) {
 	rep := ScrubReport{Seq: seq, Path: path}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return rep, nil, 0, nil, fmt.Errorf("wal: read segment %s: %w", path, err)
-	}
-	rep.OldSize = int64(len(data))
-	rep.NewSize = rep.OldSize
-
-	hdrSize, reason := scanHeaderBytes(data)
-	if reason != "" {
-		rep.TornTail, rep.TornReason = true, reason
-		return rep, data, 0, nil, nil
-	}
-
-	var spans []frameSpan
-	off := hdrSize
-	for off < int64(len(data)) {
-		if off+frameSize > int64(len(data)) {
-			rep.TornTail = true
-			rep.TornReason = fmt.Sprintf("torn frame at offset %d", off)
-			break
-		}
-		length := int64(binary.LittleEndian.Uint32(data[off : off+4]))
-		crc := binary.LittleEndian.Uint32(data[off+4 : off+8])
-		end := off + frameSize + length
-		if length == 0 || length > maxPayload || end > int64(len(data)) {
-			// A flipped length byte and a torn write are
-			// indistinguishable here; either way the remainder cannot be
-			// walked.
-			rep.TornTail = true
-			rep.TornReason = fmt.Sprintf("unwalkable record length %d at offset %d", length, off)
-			break
-		}
-		payload := data[off+frameSize : end]
-		ok := crc32.Checksum(payload, castagnoli) == crc
-		if ok {
-			if _, derr := decodePayload(payload); derr != nil {
-				ok = false
-			}
-		}
-		if ok {
-			spans = append(spans, frameSpan{off: off, n: frameSize + length})
-			rep.Records++
-		} else {
-			if rep.BadFrames == 0 {
-				rep.FirstBadOff = off
-			}
-			rep.BadFrames++
-		}
-		off = end
-	}
-	return rep, data, hdrSize, spans, nil
-}
-
-// scrubVerify walks the segment sequentially through a small reused
-// buffer, verifying every frame's CRC without materializing the file
-// or decoding payloads — the live scrubber's fast path, cheap enough
-// to run next to hot ingest. CRC-valid frames whose payload would not
-// decode are not flagged here (the encoder wrote them, so they cannot
-// occur from bit rot); the full materializing scan re-checks them
-// whenever damage is found and a repair runs.
-func scrubVerify(path string, seq uint64) (ScrubReport, error) {
-	rep := ScrubReport{Seq: seq, Path: path}
-	f, err := os.Open(path)
-	if err != nil {
-		return rep, fmt.Errorf("wal: open segment %s: %w", path, err)
+	var info SegmentInfo
+	f, sc, err := openSegmentFrames(path, 0, &info)
+	rep.OldSize, rep.NewSize = info.Size, info.Size
+	if err != nil || sc == nil {
+		rep.TornTail, rep.TornReason = info.Torn, info.TornReason
+		return rep, nil, err
 	}
 	defer f.Close()
-	fi, err := f.Stat()
-	if err != nil {
-		return rep, fmt.Errorf("wal: stat segment %s: %w", path, err)
+	var spans []frameSpan
+	if full {
+		spans = append(spans, frameSpan{off: 0, n: info.ValidBytes})
 	}
-	size := fi.Size()
-	rep.OldSize, rep.NewSize = size, size
-
-	br := bufio.NewReaderSize(f, 256<<10)
-	var hdr [headerSize]byte
-	if size < headerPrefixSize {
-		rep.TornTail, rep.TornReason = true, "short segment header"
-		return rep, nil
-	}
-	if _, err := io.ReadFull(br, hdr[:headerPrefixSize]); err != nil {
-		return rep, fmt.Errorf("wal: read segment header %s: %w", path, err)
-	}
-	var off int64
-	if [4]byte(hdr[:4]) != segmentMagic {
-		rep.TornTail, rep.TornReason = true, "bad segment magic"
-		return rep, nil
-	}
-	switch v := binary.LittleEndian.Uint32(hdr[4:headerPrefixSize]); v {
-	case segmentVersionV1:
-		off = headerPrefixSize
-	case segmentVersion:
-		if size < headerSize {
-			rep.TornTail, rep.TornReason = true, "short segment header"
-			return rep, nil
+	for sc.Next() {
+		ok := sc.OK()
+		if ok && full {
+			_, derr := decodePayload(sc.Payload())
+			ok = derr == nil
 		}
-		if _, err := io.ReadFull(br, hdr[headerPrefixSize:headerSize]); err != nil {
-			return rep, fmt.Errorf("wal: read segment header %s: %w", path, err)
-		}
-		off = headerSize
-	default:
-		rep.TornTail, rep.TornReason = true, fmt.Sprintf("unsupported segment version %d", v)
-		return rep, nil
-	}
-
-	var frame [frameSize]byte
-	payload := make([]byte, 64<<10)
-	for off < size {
-		if off+frameSize > size {
-			rep.TornTail = true
-			rep.TornReason = fmt.Sprintf("torn frame at offset %d", off)
-			break
-		}
-		if _, err := io.ReadFull(br, frame[:]); err != nil {
-			return rep, fmt.Errorf("wal: read segment %s at offset %d: %w", path, off, err)
-		}
-		length := int64(binary.LittleEndian.Uint32(frame[:4]))
-		crc := binary.LittleEndian.Uint32(frame[4:8])
-		end := off + frameSize + length
-		if length == 0 || length > maxPayload || end > size {
-			rep.TornTail = true
-			rep.TornReason = fmt.Sprintf("unwalkable record length %d at offset %d", length, off)
-			break
-		}
-		if int64(len(payload)) < length {
-			payload = make([]byte, length)
-		}
-		if _, err := io.ReadFull(br, payload[:length]); err != nil {
-			return rep, fmt.Errorf("wal: read segment %s at offset %d: %w", path, off, err)
-		}
-		if crc32.Checksum(payload[:length], castagnoli) == crc {
-			rep.Records++
-		} else {
+		if !ok {
 			if rep.BadFrames == 0 {
-				rep.FirstBadOff = off
+				rep.FirstBadOff = sc.Off()
 			}
 			rep.BadFrames++
+			continue
 		}
-		off = end
+		rep.Records++
+		if full {
+			spans = append(spans, frameSpan{off: sc.Off(), n: sc.End() - sc.Off()})
+		}
 	}
-	return rep, nil
+	if reason := sc.Torn(); reason != "" {
+		rep.TornTail, rep.TornReason = true, reason
+	}
+	if err := sc.Err(); err != nil {
+		return rep, nil, fmt.Errorf("wal: read segment %s: %w", path, err)
+	}
+	return rep, spans, nil
 }
 
-// scanHeaderBytes validates a segment header held in memory and
-// returns the header size, or a non-empty reason when it is unusable.
-func scanHeaderBytes(data []byte) (int64, string) {
-	if len(data) < headerPrefixSize {
-		return 0, "short segment header"
-	}
-	if [4]byte(data[:4]) != segmentMagic {
-		return 0, "bad segment magic"
-	}
-	switch v := binary.LittleEndian.Uint32(data[4:headerPrefixSize]); v {
-	case segmentVersionV1:
-		return headerPrefixSize, ""
-	case segmentVersion:
-		if len(data) < headerSize {
-			return 0, "short segment header"
-		}
-		return headerSize, ""
-	default:
-		return 0, fmt.Sprintf("unsupported segment version %d", v)
-	}
-}
-
-// repairSegmentFile rewrites the segment at path without its bad
-// frames: header plus intact spans go into a temp file, the damaged
-// original is preserved as path+".corrupt" via a hard link, then the
-// temp file atomically replaces the original. A crash anywhere leaves
-// either the damaged original in place (re-detected next scrub) or the
-// repaired file published; never a missing segment.
-func repairSegmentFile(path string, data []byte, hdrSize int64, spans []frameSpan) (int64, string, error) {
-	tmp := path + ".scrub"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+// repairSegmentFile rewrites the segment at path as just the given
+// spans of itself. The damaged original is first preserved as
+// path+".corrupt" through a hard link, then the repaired file is
+// published over the original name. A crash anywhere leaves either the
+// damaged original in place (re-detected next scrub) or the repaired
+// file published; never a missing segment.
+func repairSegmentFile(path string, spans []frameSpan) (int64, string, error) {
+	src, err := os.Open(path)
 	if err != nil {
-		return 0, "", fmt.Errorf("wal: create %s: %w", tmp, err)
+		return 0, "", fmt.Errorf("wal: open %s: %w", path, err)
 	}
-	fail := func(err error) (int64, string, error) {
-		f.Close()
-		os.Remove(tmp)
-		return 0, "", err
+	defer src.Close()
+	quarantine, err := seglog.Quarantine(path, true)
+	if err != nil {
+		return 0, "", fmt.Errorf("wal: %w", err)
 	}
-	if _, err := f.Write(data[:hdrSize]); err != nil {
-		return fail(fmt.Errorf("wal: write %s: %w", tmp, err))
-	}
-	size := hdrSize
-	for _, sp := range spans {
-		if _, err := f.Write(data[sp.off : sp.off+sp.n]); err != nil {
-			return fail(fmt.Errorf("wal: write %s: %w", tmp, err))
+	var size int64
+	err = seglog.Publish(path, func(w io.Writer) error {
+		for _, sp := range spans {
+			if _, err := io.CopyN(w, io.NewSectionReader(src, sp.off, sp.n), sp.n); err != nil {
+				return err
+			}
+			size += sp.n
 		}
-		size += sp.n
-	}
-	if err := f.Sync(); err != nil {
-		return fail(fmt.Errorf("wal: sync %s: %w", tmp, err))
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return 0, "", fmt.Errorf("wal: close %s: %w", tmp, err)
-	}
-	quarantine := path + ".corrupt"
-	os.Remove(quarantine) // stale quarantine from an earlier repair
-	if err := os.Link(path, quarantine); err != nil {
-		os.Remove(tmp)
-		return 0, "", fmt.Errorf("wal: quarantine %s: %w", path, err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return 0, "", fmt.Errorf("wal: publish repaired %s: %w", path, err)
-	}
-	if err := syncJournalDir(filepath.Dir(path)); err != nil {
-		return 0, "", err
+		return nil
+	})
+	if err != nil {
+		os.Remove(quarantine)
+		return 0, "", fmt.Errorf("wal: repair: %w", err)
 	}
 	return size, quarantine, nil
-}
-
-// syncJournalDir fsyncs a directory so renames within it are durable.
-func syncJournalDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("wal: open dir %s: %w", dir, err)
-	}
-	defer d.Close()
-	if err := d.Sync(); err != nil {
-		return fmt.Errorf("wal: sync dir %s: %w", dir, err)
-	}
-	return nil
 }
 
 // ScrubConfig parameterizes one live-journal scrub pass.
@@ -374,7 +222,7 @@ func (j *Journal) Scrub(cfg ScrubConfig) (ScrubSummary, error) {
 
 	var firstErr error
 	for _, seg := range picks {
-		quick, err := scrubVerify(segmentPath(j.cfg.Dir, seg.seq), seg.seq)
+		quick, _, err := scrubSegment(segmentPath(j.cfg.Dir, seg.seq), seg.seq, false)
 		j.mu.Lock()
 		j.stats.ScrubScans++
 		j.mu.Unlock()
@@ -395,7 +243,7 @@ func (j *Journal) Scrub(cfg ScrubConfig) (ScrubSummary, error) {
 		// Damage confirmed: now pay for the materializing scan, which
 		// also re-checks payload decodability and yields the intact
 		// spans the repair copies forward.
-		rep, data, hdrSize, spans, err := scrubScan(segmentPath(j.cfg.Dir, seg.seq), seg.seq)
+		rep, spans, err := scrubSegment(segmentPath(j.cfg.Dir, seg.seq), seg.seq, true)
 		if err != nil {
 			if os.IsNotExist(err) {
 				continue
@@ -447,7 +295,7 @@ func (j *Journal) Scrub(cfg ScrubConfig) (ScrubSummary, error) {
 			j.mu.Unlock()
 			continue // pruned while we scanned
 		}
-		newSize, quarantine, rerr := repairSegmentFile(segmentPath(j.cfg.Dir, seg.seq), data, hdrSize, spans)
+		newSize, quarantine, rerr := repairSegmentFile(segmentPath(j.cfg.Dir, seg.seq), spans)
 		if rerr != nil {
 			j.mu.Unlock()
 			if firstErr == nil {
@@ -494,28 +342,24 @@ func ScrubDir(dir string, repair bool) ([]ScrubReport, error) {
 	}
 	var out []ScrubReport
 	for _, seg := range segs {
-		rep, data, hdrSize, spans, err := scrubScan(segmentPath(dir, seg.seq), seg.seq)
+		rep, spans, err := scrubSegment(segmentPath(dir, seg.seq), seg.seq, true)
 		if err != nil {
 			return out, err
 		}
-		if rep.BadFrames > 0 && repair {
-			switch {
-			case rep.TornTail && rep.Records == 0 && rep.BadFrames == 0:
-				// unreachable; kept for symmetry with the live path
-			case cp != nil && seg.seq == cp.Pos.Seg && rep.FirstBadOff < cp.Pos.Off:
-				rep.SkipReason = fmt.Sprintf("newest checkpoint replays from offset %d, past the first bad frame at %d", cp.Pos.Off, rep.FirstBadOff)
-			default:
-				newSize, quarantine, rerr := repairSegmentFile(rep.Path, data, hdrSize, spans)
-				if rerr != nil {
-					return out, rerr
-				}
-				rep.Repaired = true
-				rep.Quarantined = quarantine
-				rep.NewSize = newSize
-			}
-		} else if rep.BadFrames > 0 {
+		switch {
+		case rep.BadFrames > 0 && !repair:
 			rep.SkipReason = "repair not requested"
-		} else if rep.TornTail {
+		case rep.BadFrames > 0 && cp != nil && seg.seq == cp.Pos.Seg && rep.FirstBadOff < cp.Pos.Off:
+			rep.SkipReason = fmt.Sprintf("newest checkpoint replays from offset %d, past the first bad frame at %d", cp.Pos.Off, rep.FirstBadOff)
+		case rep.BadFrames > 0:
+			newSize, quarantine, rerr := repairSegmentFile(rep.Path, spans)
+			if rerr != nil {
+				return out, rerr
+			}
+			rep.Repaired = true
+			rep.Quarantined = quarantine
+			rep.NewSize = newSize
+		case rep.TornTail:
 			rep.SkipReason = "torn tail is not repaired"
 		}
 		out = append(out, rep)
