@@ -141,8 +141,8 @@ func Train(runs []TrainingRun, cfg Config) (*Classifier, error) {
 		return nil, fmt.Errorf("classify: train k-NN: %w", err)
 	}
 	if model.Q == 2 {
-		// The paper's 2-D feature space admits the grid index; results
-		// are identical, queries are an order of magnitude faster.
+		// The paper's 2-D feature space admits the 2-d tree index;
+		// results are identical, queries are an order of magnitude faster.
 		if err := nn.EnableIndex(); err != nil {
 			return nil, fmt.Errorf("classify: index k-NN: %w", err)
 		}

@@ -3,6 +3,7 @@ package knn
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/linalg"
@@ -61,22 +62,19 @@ func TestClassifyIDMatchesClassify(t *testing.T) {
 	}
 }
 
-// TestIndexedMatchesBruteTopK re-checks the rewritten top-k grid search
-// against the brute-force path, neighbours and order included.
+// TestIndexedMatchesBruteTopK re-checks the index search against the
+// brute-force path, neighbours, order and distances included.
 func TestIndexedMatchesBruteTopK(t *testing.T) {
+	brute := trainRandom2D(t, rand.New(rand.NewSource(77)), 400, []string{"a", "b", "c"}, false)
 	rng := rand.New(rand.NewSource(77))
-	brute := trainRandom2D(t, rng, 400, []string{"a", "b", "c"}, false)
-	idx, err := NewGridIndex(brute.points, brute.labels, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	idx := trainRandom2D(t, rng, 400, []string{"a", "b", "c"}, true)
 	for probe := 0; probe < 300; probe++ {
 		x := linalg.Vector{rng.NormFloat64() * 15, rng.NormFloat64() * 15}
 		want, err := brute.Neighbors(x)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := idx.Neighbors(x, brute.k)
+		got, err := idx.Neighbors(x)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,8 +82,8 @@ func TestIndexedMatchesBruteTopK(t *testing.T) {
 			t.Fatalf("probe %d: %d neighbours, want %d", probe, len(got), len(want))
 		}
 		for i := range got {
-			if got[i].Index != want[i].Index {
-				t.Fatalf("probe %d neighbour %d: index %d, want %d", probe, i, got[i].Index, want[i].Index)
+			if got[i] != want[i] {
+				t.Fatalf("probe %d neighbour %d: %+v, want %+v", probe, i, got[i], want[i])
 			}
 		}
 	}
@@ -111,6 +109,9 @@ func TestClassifyIDZeroAllocsIndexed(t *testing.T) {
 	}
 }
 
+// TestClassifyIDsMatchesBatchAndParallel: the ID batch kernel agrees
+// with the label batch, and concurrent batches over one shared indexed
+// classifier, each with its own Scratch, agree with both.
 func TestClassifyIDsMatchesBatchAndParallel(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	c := trainRandom2D(t, rng, 250, []string{"cpu", "io", "net", "mem"}, true)
@@ -132,23 +133,27 @@ func TestClassifyIDsMatchesBatchAndParallel(t *testing.T) {
 			t.Fatalf("row %d: ids %q, batch %q", i, c.ClassName(ids[i]), labels[i])
 		}
 	}
-	for _, workers := range []int{0, 1, 3, 8} {
-		par, err := c.ClassifyBatchParallel(rows, workers)
-		if err != nil {
-			t.Fatal(err)
+	const workers = 4
+	out := make([][]int, workers)
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for w := range out {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			var s Scratch
+			out[w] = make([]int, rows.Rows())
+			errs[w] = c.ClassifyIDs(rows, out[w], &s)
+		}(w)
+	}
+	wg.Wait()
+	for w := range out {
+		if errs[w] != nil {
+			t.Fatal(errs[w])
 		}
-		for i := range par {
-			if par[i] != labels[i] {
-				t.Fatalf("workers=%d row %d: %q, want %q", workers, i, par[i], labels[i])
-			}
-		}
-		pids := make([]int, rows.Rows())
-		if err := c.ClassifyIDsParallel(rows, pids, workers); err != nil {
-			t.Fatal(err)
-		}
-		for i := range pids {
-			if pids[i] != ids[i] {
-				t.Fatalf("workers=%d row %d: id %d, want %d", workers, i, pids[i], ids[i])
+		for i := range ids {
+			if out[w][i] != ids[i] {
+				t.Fatalf("worker %d row %d: id %d, want %d", w, i, out[w][i], ids[i])
 			}
 		}
 	}

@@ -15,9 +15,6 @@ import (
 // Distance measures how far apart two feature vectors are.
 type Distance func(a, b linalg.Vector) (float64, error)
 
-// Euclidean is the default distance.
-func Euclidean(a, b linalg.Vector) (float64, error) { return a.Dist(b) }
-
 // Manhattan is the L1 distance, available for ablation experiments.
 func Manhattan(a, b linalg.Vector) (float64, error) {
 	if len(a) != len(b) {
@@ -30,26 +27,37 @@ func Manhattan(a, b linalg.Vector) (float64, error) {
 	return s, nil
 }
 
+// sqDist is the squared Euclidean distance. Every product is rounded on
+// its own (the float64 conversions forbid fused multiply-adds), so for
+// 2-D points it is bit-identical to the index's float64(dx*dx) +
+// float64(dy*dy) on every architecture.
+func sqDist(a, b []float64) float64 {
+	var s float64
+	for i := range a {
+		d := b[i] - a[i]
+		s += float64(d * d)
+	}
+	return s
+}
+
 // Classifier is a k-NN classifier over labelled feature vectors.
 type Classifier struct {
-	k      int
-	dist   Distance
-	points []linalg.Vector
-	labels []string
+	k int
+	// dist is a WithDistance override; nil selects the default
+	// Euclidean ranking by squared distance.
+	dist Distance
+	// coords holds the training points row-major, dims values each.
+	coords []float64
 	dims   int
 	// Labels are interned at Train time: classNames holds the distinct
 	// labels in first-seen order, classIDs the per-point index into it.
-	// The integer fast path (ClassifyID) votes over these IDs and never
-	// touches a label string.
+	// The vote counts these IDs and never touches a label string.
 	classNames []string
 	classIDs   []int
 	classIndex map[string]int
 	// index, when enabled, accelerates Euclidean 2-D queries without
 	// changing results.
-	index *GridIndex
-	// customDist records whether WithDistance replaced the Euclidean
-	// default (the grid index hard-codes Euclidean geometry).
-	customDist bool
+	index *kdIndex
 }
 
 // Option configures a Classifier.
@@ -57,10 +65,7 @@ type Option func(*Classifier)
 
 // WithDistance overrides the Euclidean default.
 func WithDistance(d Distance) Option {
-	return func(c *Classifier) {
-		c.dist = d
-		c.customDist = true
-	}
+	return func(c *Classifier) { c.dist = d }
 }
 
 // New creates a k-NN classifier. k must be positive and odd (the paper's
@@ -72,7 +77,7 @@ func New(k int, opts ...Option) (*Classifier, error) {
 	if k%2 == 0 {
 		return nil, fmt.Errorf("knn: k must be odd (the paper's rule), got %d", k)
 	}
-	c := &Classifier{k: k, dist: Euclidean}
+	c := &Classifier{k: k}
 	for _, o := range opts {
 		o(c)
 	}
@@ -83,7 +88,12 @@ func New(k int, opts ...Option) (*Classifier, error) {
 func (c *Classifier) K() int { return c.k }
 
 // Len returns the number of training points.
-func (c *Classifier) Len() int { return len(c.points) }
+func (c *Classifier) Len() int { return len(c.classIDs) }
+
+// point returns training point i as a view into coords.
+func (c *Classifier) point(i int) linalg.Vector {
+	return c.coords[i*c.dims : (i+1)*c.dims : (i+1)*c.dims]
+}
 
 // Train adds labelled points to the training set. All points across all
 // Train calls must have the same dimensionality.
@@ -104,8 +114,7 @@ func (c *Classifier) Train(points []linalg.Vector, labels []string) error {
 		if labels[i] == "" {
 			return fmt.Errorf("knn: empty label at %d", i)
 		}
-		c.points = append(c.points, p.Clone())
-		c.labels = append(c.labels, labels[i])
+		c.coords = append(c.coords, p...)
 		if c.classIndex == nil {
 			c.classIndex = make(map[string]int)
 		}
@@ -139,30 +148,25 @@ func (c *Classifier) Classes() []string {
 	return append([]string(nil), c.classNames...)
 }
 
-// EnableIndex builds a grid index over the training data, accelerating
-// subsequent queries. It requires two-dimensional points and the
-// Euclidean distance (the classifier's PCA feature space satisfies
-// both); results are identical to brute force.
+// EnableIndex builds a static 2-d tree over the training data,
+// accelerating subsequent queries. It requires two-dimensional points
+// and the default Euclidean distance (the classifier's PCA feature
+// space satisfies both); results are bit-identical to brute force.
 func (c *Classifier) EnableIndex() error {
-	if len(c.points) == 0 {
+	if c.Len() == 0 {
 		return fmt.Errorf("knn: cannot index an untrained classifier")
 	}
 	if c.dims != 2 {
-		return fmt.Errorf("knn: grid index requires 2-D points, trained on %d dims", c.dims)
+		return fmt.Errorf("knn: index requires 2-D points, trained on %d dims", c.dims)
 	}
-	// The index hard-codes Euclidean geometry.
-	if c.customDist {
-		return fmt.Errorf("knn: grid index requires the Euclidean distance")
+	if c.dist != nil {
+		return fmt.Errorf("knn: index requires the default Euclidean distance")
 	}
-	idx, err := NewGridIndex(c.points, c.labels, 0)
-	if err != nil {
-		return err
-	}
-	c.index = idx
+	c.index = buildKDIndex(c.coords)
 	return nil
 }
 
-// Indexed reports whether a grid index is active.
+// Indexed reports whether an index is active.
 func (c *Classifier) Indexed() bool { return c.index != nil }
 
 // Neighbor is one training point ranked by distance to a query.
@@ -172,35 +176,38 @@ type Neighbor struct {
 	Distance float64
 }
 
-// neighborLess orders candidates by distance, breaking exact ties by
-// training insertion order — the brute-force stable-sort order, which
-// the grid index and the top-k kernels must reproduce exactly.
-func neighborLess(a, b Neighbor) bool {
-	if a.Distance != b.Distance {
-		return a.Distance < b.Distance
-	}
-	return a.Index < b.Index
+// cand is a search candidate: a training point and its rank key, the
+// squared distance under the default metric (the WithDistance value
+// otherwise).
+type cand struct {
+	d  float64
+	id int32
 }
 
-// insertTopK inserts nb into best — kept sorted by neighborLess with at
-// most k entries — shifting worse entries down. best must have capacity
-// k so steady-state insertion never allocates.
-func insertTopK(best *[]Neighbor, nb Neighbor, k int) {
-	b := *best
-	if len(b) == k {
-		if !neighborLess(nb, b[k-1]) {
-			return
+// less orders candidates by distance, breaking exact ties by training
+// insertion order, so brute force and the index agree on every tie.
+func (a cand) less(b cand) bool {
+	return a.d < b.d || a.d == b.d && a.id < b.id
+}
+
+// insertTopK inserts c into best — kept sorted by less with at most k
+// entries — shifting worse entries down. best must have capacity k so
+// steady-state insertion never allocates.
+func insertTopK(best []cand, c cand, k int) []cand {
+	if len(best) == k {
+		if !c.less(best[k-1]) {
+			return best
 		}
 	} else {
-		b = append(b, Neighbor{})
+		best = append(best, cand{})
 	}
-	i := len(b) - 1
-	for i > 0 && neighborLess(nb, b[i-1]) {
-		b[i] = b[i-1]
+	i := len(best) - 1
+	for i > 0 && c.less(best[i-1]) {
+		best[i] = best[i-1]
 		i--
 	}
-	b[i] = nb
-	*best = b
+	best[i] = c
+	return best
 }
 
 // Scratch holds the caller-owned buffers of the allocation-free query
@@ -208,49 +215,76 @@ func insertTopK(best *[]Neighbor, nb Neighbor, k int) {
 // use; buffers grow on first use and are reused afterwards. A Scratch
 // must not be shared between concurrent queries.
 type Scratch struct {
-	cand  []Neighbor
+	cand  []cand
 	votes []int
 }
 
-// neighborsInto finds the k nearest neighbours of x, closest first,
-// reusing best's backing array. With the grid index enabled (and the
-// default Euclidean distance) the search is allocation-free; the
-// brute-force fallback allocates inside the pluggable Distance.
-func (c *Classifier) neighborsInto(x linalg.Vector, k int, best []Neighbor) ([]Neighbor, error) {
+// search finds the k nearest training points to x, closest first,
+// reusing best's backing array. The default metric leaves squared
+// distances in the candidates; callers take square roots of what they
+// report. Only a WithDistance metric can fail or allocate.
+func (c *Classifier) search(x linalg.Vector, k int, best []cand) ([]cand, error) {
 	if c.index != nil {
-		return c.index.NeighborsInto(x, k, best)
+		return c.index.search(x[0], x[1], k, best[:0]), nil
 	}
 	best = best[:0]
-	for i, p := range c.points {
-		d, err := c.dist(x, p)
-		if err != nil {
-			return nil, err
+	for i := 0; i < c.Len(); i++ {
+		p := c.point(i)
+		var d float64
+		if c.dist == nil {
+			d = sqDist(x, p)
+		} else {
+			var err error
+			if d, err = c.dist(x, p); err != nil {
+				return nil, err
+			}
 		}
-		insertTopK(&best, Neighbor{Index: i, Label: c.labels[i], Distance: d}, k)
+		best = insertTopK(best, cand{d: d, id: int32(i)}, k)
 	}
 	return best, nil
+}
+
+// distance converts a candidate's rank key to the reported distance.
+func (c *Classifier) distance(n cand) float64 {
+	if c.dist == nil {
+		return math.Sqrt(n.d)
+	}
+	return n.d
+}
+
+// query validates x and returns the effective neighbour count.
+func (c *Classifier) query(x linalg.Vector) (int, error) {
+	if c.Len() == 0 {
+		return 0, fmt.Errorf("knn: classifier has no training data")
+	}
+	if len(x) != c.dims {
+		return 0, fmt.Errorf("knn: query has %d dims, trained on %d", len(x), c.dims)
+	}
+	return min(c.k, c.Len()), nil
 }
 
 // Neighbors returns the k training points nearest to x, closest first.
 // Equal distances break ties by training insertion order, keeping
 // results deterministic.
 func (c *Classifier) Neighbors(x linalg.Vector) ([]Neighbor, error) {
-	if len(c.points) == 0 {
-		return nil, fmt.Errorf("knn: classifier has no training data")
+	k, err := c.query(x)
+	if err != nil {
+		return nil, err
 	}
-	if len(x) != c.dims {
-		return nil, fmt.Errorf("knn: query has %d dims, trained on %d", len(x), c.dims)
+	best, err := c.search(x, k, make([]cand, 0, k))
+	if err != nil {
+		return nil, err
 	}
-	k := c.k
-	if k > len(c.points) {
-		k = len(c.points)
+	out := make([]Neighbor, len(best))
+	for i, n := range best {
+		out[i] = Neighbor{Index: int(n.id), Label: c.classNames[c.classIDs[n.id]], Distance: c.distance(n)}
 	}
-	return c.neighborsInto(x, k, make([]Neighbor, 0, k))
+	return out, nil
 }
 
 // ClassifyID returns the interned class ID (see ClassName) of the
 // majority vote of the k nearest neighbours of x — the integer fast
-// path: no label strings are touched and, with a grid index and a
+// path: no label strings are touched and, with the default metric and a
 // reused Scratch, nothing is allocated. A nil scratch classifies with
 // temporary buffers. The tie rule matches Classify: the nearest
 // neighbour among tied classes wins.
@@ -265,47 +299,36 @@ func (c *Classifier) ClassifyID(x linalg.Vector, s *Scratch) (int, error) {
 // class. The distance comes for free from the neighbour search, so
 // this path is exactly as fast and allocation-free as ClassifyID.
 func (c *Classifier) ClassifyIDDist(x linalg.Vector, s *Scratch) (int, float64, error) {
-	if len(c.points) == 0 {
-		return 0, 0, fmt.Errorf("knn: classifier has no training data")
-	}
-	if len(x) != c.dims {
-		return 0, 0, fmt.Errorf("knn: query has %d dims, trained on %d", len(x), c.dims)
+	k, err := c.query(x)
+	if err != nil {
+		return 0, 0, err
 	}
 	if s == nil {
 		s = &Scratch{}
 	}
-	k := c.k
-	if k > len(c.points) {
-		k = len(c.points)
-	}
 	if cap(s.cand) < k {
-		s.cand = make([]Neighbor, 0, k)
+		s.cand = make([]cand, 0, k)
 	}
-	nbrs, err := c.neighborsInto(x, k, s.cand[:0])
+	nbrs, err := c.search(x, k, s.cand)
 	if err != nil {
 		return 0, 0, err
 	}
-	s.cand = nbrs[:0]
 	if cap(s.votes) < len(c.classNames) {
 		s.votes = make([]int, len(c.classNames))
 	}
 	votes := s.votes[:len(c.classNames)]
-	for i := range votes {
-		votes[i] = 0
-	}
+	clear(votes)
 	best := 0
 	for _, n := range nbrs {
-		id := c.classIDs[n.Index]
+		id := c.classIDs[n.id]
 		votes[id]++
-		if votes[id] > best {
-			best = votes[id]
-		}
+		best = max(best, votes[id])
 	}
 	// Neighbours are sorted by distance: the kth distance is the last
 	// entry's, and the first tied class is the nearest one.
-	kth := nbrs[len(nbrs)-1].Distance
+	kth := c.distance(nbrs[len(nbrs)-1])
 	for _, n := range nbrs {
-		if id := c.classIDs[n.Index]; votes[id] == best {
+		if id := c.classIDs[n.id]; votes[id] == best {
 			return id, kth, nil
 		}
 	}
@@ -323,24 +346,9 @@ func (c *Classifier) Classify(x linalg.Vector) (string, error) {
 	return c.classNames[id], nil
 }
 
-// classifyIDsRange classifies rows [lo, hi) of a matrix into out,
-// sharing one scratch across the range and reading rows in place — the
-// per-worker body of the blocked batch kernel.
-func (c *Classifier) classifyIDsRange(rows *linalg.Matrix, out []int, lo, hi int, s *Scratch) error {
-	for i := lo; i < hi; i++ {
-		id, err := c.ClassifyID(rows.RowView(i), s)
-		if err != nil {
-			return fmt.Errorf("knn: row %d: %w", i, err)
-		}
-		out[i] = id
-	}
-	return nil
-}
-
 // ClassifyIDs classifies every row of a matrix into out (one interned
-// class ID per row), reusing scratch across the whole batch. out must
-// have rows.Rows() entries. This is the batch kernel behind
-// ClassifyBatch and ClassifyBatchParallel.
+// class ID per row), reusing scratch across the whole batch and reading
+// rows in place. out must have rows.Rows() entries.
 func (c *Classifier) ClassifyIDs(rows *linalg.Matrix, out []int, s *Scratch) error {
 	if len(out) != rows.Rows() {
 		return fmt.Errorf("knn: %d outputs for %d rows", len(out), rows.Rows())
@@ -348,7 +356,14 @@ func (c *Classifier) ClassifyIDs(rows *linalg.Matrix, out []int, s *Scratch) err
 	if s == nil {
 		s = &Scratch{}
 	}
-	return c.classifyIDsRange(rows, out, 0, rows.Rows(), s)
+	for i := range out {
+		id, err := c.ClassifyID(rows.RowView(i), s)
+		if err != nil {
+			return fmt.Errorf("knn: row %d: %w", i, err)
+		}
+		out[i] = id
+	}
+	return nil
 }
 
 // ClassifyBatch classifies each row of a matrix, returning one label per

@@ -1,8 +1,10 @@
 package wal
 
 import (
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 
@@ -229,7 +231,7 @@ func (j *Journal) Scrub(cfg ScrubConfig) (ScrubSummary, error) {
 		if err != nil {
 			// The segment may have been pruned between the snapshot and
 			// the read; that is not damage.
-			if os.IsNotExist(err) {
+			if errors.Is(err, fs.ErrNotExist) {
 				continue
 			}
 			if firstErr == nil {
@@ -245,7 +247,7 @@ func (j *Journal) Scrub(cfg ScrubConfig) (ScrubSummary, error) {
 		// spans the repair copies forward.
 		rep, spans, err := scrubSegment(segmentPath(j.cfg.Dir, seg.seq), seg.seq, true)
 		if err != nil {
-			if os.IsNotExist(err) {
+			if errors.Is(err, fs.ErrNotExist) {
 				continue
 			}
 			if firstErr == nil {

@@ -4,8 +4,8 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"time"
 	"testing"
+	"time"
 )
 
 // flipPayloadByte corrupts one byte inside the payload of the record
@@ -240,5 +240,36 @@ func TestJournalScrubCursorCycles(t *testing.T) {
 	}
 	if st := j.Stats(); st.ScrubScans != 7 {
 		t.Errorf("scans = %d, want 7", st.ScrubScans)
+	}
+}
+
+// TestJournalScrubSkipsPrunedSegment: a sealed segment that disappears
+// between the scrub's snapshot of the segment list and its read (as
+// retention pruning does) is skipped, not reported as an error or as
+// damage.
+func TestJournalScrubSkipsPrunedSegment(t *testing.T) {
+	dir := t.TempDir()
+	j, err := Open(Config{Dir: dir, Fsync: FsyncNever, SegmentBytes: 1}) // rotate after every record
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	for i := 0; i < 3; i++ {
+		if _, err := j.AppendBatch("vm", testSnaps("vm", 1, 2, float64(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.Remove(segmentPath(dir, 1)); err != nil {
+		t.Fatal(err)
+	}
+	sum, err := j.Scrub(ScrubConfig{MaxSegments: 10})
+	if err != nil {
+		t.Fatalf("scrub over a pruned segment: %v", err)
+	}
+	if len(sum.Damaged) != 0 {
+		t.Errorf("pruned segment reported as damage: %+v", sum.Damaged)
+	}
+	if st := j.Stats(); st.ScrubRepairedSegments != 0 || st.ScrubQuarantined != 0 {
+		t.Errorf("scrub repaired something: %+v", st)
 	}
 }
