@@ -1,6 +1,7 @@
 package classify
 
 import (
+	"encoding/json"
 	"math"
 	"math/rand"
 	"testing"
@@ -187,8 +188,7 @@ func TestClassifySnapshotScratchZeroAllocs(t *testing.T) {
 }
 
 // TestOnlineObserveSteadyStateZeroAllocs pins the streaming path: once
-// the history backing array and maps have warmed up, Observe must not
-// allocate.
+// the maps have warmed up, Observe must not allocate.
 func TestOnlineObserveSteadyStateZeroAllocs(t *testing.T) {
 	cl := trainSynthetic(t, Config{})
 	tr := syntheticTrace(t, appclass.Net, 64, 11)
@@ -196,12 +196,11 @@ func TestOnlineObserveSteadyStateZeroAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	online.SetHistoryCap(128)
 	snaps := make([]metrics.Snapshot, tr.Len())
 	for i := range snaps {
 		snaps[i] = tr.At(i)
 	}
-	// Warm up past several trim cycles so the history array stabilizes.
+	// Warm up so every class the trace votes for has a count entry.
 	for i := 0; i < 1000; i++ {
 		if _, err := online.Observe(snaps[i%len(snaps)]); err != nil {
 			t.Fatal(err)
@@ -219,65 +218,51 @@ func TestOnlineObserveSteadyStateZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestHistoryCap exercises the retention cap: bounded History length,
-// accurate drop accounting, and first/last times spanning the full
-// stream rather than the retained window.
-func TestHistoryCap(t *testing.T) {
+// TestOnlineStateIndependentOfAge checks that a session's retained
+// state does not grow with the number of snapshots it has seen: the
+// exported checkpoint state of a 1000-snapshot session is no larger
+// than after 100 snapshots, while Total and the first/last times still
+// span the whole stream.
+func TestOnlineStateIndependentOfAge(t *testing.T) {
 	cl := trainSynthetic(t, Config{})
 	tr := syntheticTrace(t, appclass.CPU, 10, 3)
 	online, err := NewOnline(cl, tr.Schema())
 	if err != nil {
 		t.Fatal(err)
 	}
-	online.SetHistoryCap(100)
+	stateSize := func() int {
+		doc, err := json.Marshal(online.ExportState())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(doc)
+	}
 	const total = 1000
+	var young int
 	for i := 0; i < total; i++ {
 		snap := tr.At(i % tr.Len())
 		snap.Time = time.Duration(i) * time.Second
 		if _, err := online.Observe(snap); err != nil {
 			t.Fatal(err)
 		}
-	}
-	hist := online.History()
-	if len(hist) > 100+100/4 {
-		t.Errorf("history length %d exceeds cap slack", len(hist))
-	}
-	if got := online.HistoryDropped() + len(hist); got != total {
-		t.Errorf("dropped %d + retained %d = %d, want %d",
-			online.HistoryDropped(), len(hist), got, total)
-	}
-	// The retained window is the most recent suffix, in order.
-	for i := range hist {
-		want := time.Duration(total-len(hist)+i) * time.Second
-		if hist[i].At != want {
-			t.Fatalf("history[%d].At = %v, want %v", i, hist[i].At, want)
+		if i == total/10-1 {
+			young = stateSize()
 		}
+	}
+	// Counts and Welford sums may gain a digit or two; a per-snapshot
+	// record would add kilobytes.
+	if old := stateSize(); old > young+64 {
+		t.Errorf("exported state grew from %d bytes at %d snapshots to %d at %d", young, total/10, old, total)
 	}
 	v := online.Snapshot()
 	if v.FirstAt != 0 {
-		t.Errorf("FirstAt = %v, want 0 (spans dropped entries)", v.FirstAt)
+		t.Errorf("FirstAt = %v, want 0", v.FirstAt)
 	}
 	if want := time.Duration(total-1) * time.Second; v.LastAt != want {
 		t.Errorf("LastAt = %v, want %v", v.LastAt, want)
 	}
 	if v.Total != total {
 		t.Errorf("Total = %d, want %d", v.Total, total)
-	}
-	// Stage analysis stays valid over the retained window.
-	if _, err := StagesFromHistory(hist, 1, online.HistoryDropped()); err != nil {
-		t.Errorf("StagesFromHistory over retained window: %v", err)
-	}
-	// Cap can be lowered after the fact.
-	online.SetHistoryCap(10)
-	if got := len(online.History()); got > 10+10/4 {
-		t.Errorf("after lowering cap, history length %d", got)
-	}
-	// And disabled.
-	online.SetHistoryCap(0)
-	for i := 0; i < 50; i++ {
-		if _, err := online.Observe(tr.At(i % tr.Len())); err != nil {
-			t.Fatal(err)
-		}
 	}
 }
 

@@ -37,13 +37,7 @@ type Online struct {
 	// over a stream with missing coverage rather than the full run.
 	gaps    int
 	gapTime time.Duration
-	// history records the class sequence for stage analysis. It is
-	// capped at histCap entries (oldest dropped first); dropped counts
-	// the entries trimmed away, and firstAt/lastAt span every snapshot
-	// ever observed, including dropped ones.
-	history []TimedClass
-	histCap int
-	dropped int
+	// firstAt and lastAt span every snapshot ever observed.
 	firstAt time.Duration
 	lastAt  time.Duration
 
@@ -61,18 +55,6 @@ type Online struct {
 	sampler *trainSampler
 }
 
-// DefaultHistoryCap bounds the classification history an Online retains.
-// At the paper's one-snapshot-per-second monitoring cadence this keeps
-// roughly nine hours of history per session while bounding a long-lived
-// daemon session to a few hundred kilobytes.
-const DefaultHistoryCap = 32768
-
-// TimedClass is one classified snapshot in arrival order.
-type TimedClass struct {
-	At    time.Duration
-	Class appclass.Class
-}
-
 // NewOnline wraps a trained classifier for streaming input against the
 // given snapshot schema.
 func NewOnline(cl *Classifier, schema *metrics.Schema) (*Online, error) {
@@ -87,41 +69,12 @@ func NewOnline(cl *Classifier, schema *metrics.Schema) (*Online, error) {
 		return nil, fmt.Errorf("classify: online schema: %w", err)
 	}
 	return &Online{
-		cl:      cl,
-		schema:  schema,
-		subset:  subset,
-		counts:  make(map[appclass.Class]int),
-		drift:   make([]stats.Welford, len(subset)),
-		histCap: DefaultHistoryCap,
+		cl:     cl,
+		schema: schema,
+		subset: subset,
+		counts: make(map[appclass.Class]int),
+		drift:  make([]stats.Welford, len(subset)),
 	}, nil
-}
-
-// SetHistoryCap bounds the retained classification history to at most n
-// entries (oldest trimmed first); n <= 0 removes the bound. Counts,
-// composition, drift, and first/last times keep covering every snapshot
-// ever observed — only History and stage analysis see the shorter
-// window.
-func (o *Online) SetHistoryCap(n int) {
-	o.histCap = n
-	o.trimHistory()
-}
-
-// HistoryDropped returns how many old history entries the retention cap
-// has discarded.
-func (o *Online) HistoryDropped() int { return o.dropped }
-
-// trimHistory enforces histCap. It trims in chunks — only once the
-// slice overshoots the cap by 25% — so steady-state appends stay O(1)
-// amortized and reuse the same backing array instead of reallocating on
-// every snapshot.
-func (o *Online) trimHistory() {
-	if o.histCap <= 0 || len(o.history) <= o.histCap+o.histCap/4 {
-		return
-	}
-	drop := len(o.history) - o.histCap
-	copy(o.history, o.history[drop:])
-	o.history = o.history[:o.histCap]
-	o.dropped += drop
 }
 
 // EnableSegmentation attaches an online phase segmenter (see
@@ -176,7 +129,7 @@ func (o *Online) TrainSamples() ([]string, [][]float64) {
 // Rebind atomically points this session at a different trained
 // classifier — the hot-swap primitive. The new classifier must use the
 // identical expert-metric list (the drift accumulators and retained
-// samples are per-metric); counts, history, drift, gaps, phase
+// samples are per-metric); counts, drift, gaps, phase
 // segmentation, and the training reservoir all carry over, while
 // subsequent snapshots classify under the new model with the supplied
 // open-set thresholds (nil disables the open-set test). The caller must
@@ -247,8 +200,6 @@ func (o *Online) record(snap metrics.Snapshot, class appclass.Class) {
 	o.total++
 	o.last = class
 	o.lastAt = snap.Time
-	o.history = append(o.history, TimedClass{At: snap.Time, Class: class})
-	o.trimHistory()
 	for i, j := range o.subset {
 		o.drift[i].Add(snap.Values[j])
 	}
@@ -442,13 +393,6 @@ func (o *Online) Snapshot() View {
 		v.Verdict = o.Verdict()
 	}
 	return v
-}
-
-// History returns the classified snapshot sequence over the retained
-// window (see SetHistoryCap); HistoryDropped reports how much older
-// history has been trimmed.
-func (o *Online) History() []TimedClass {
-	return append([]TimedClass(nil), o.history...)
 }
 
 // DriftScore measures how far the observed stream's per-metric means

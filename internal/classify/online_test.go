@@ -44,9 +44,6 @@ func TestOnlineMatchesBatch(t *testing.T) {
 	if online.Last() != batch.Snapshots[29] {
 		t.Errorf("Last = %s", online.Last())
 	}
-	if len(online.History()) != 30 {
-		t.Errorf("History = %d", len(online.History()))
-	}
 }
 
 func TestOnlineEmptyState(t *testing.T) {

@@ -312,82 +312,3 @@ func TestRestoreOnlineRejectsBadUnknown(t *testing.T) {
 		t.Error("negative unknown accepted")
 	}
 }
-
-// TestStagesFromHistoryPartialFlag is the regression test for the
-// history-cap truncation edge: with entries dropped, the first stage
-// must be flagged Partial instead of silently reporting a too-short
-// duration.
-func TestStagesFromHistoryPartialFlag(t *testing.T) {
-	hist := []TimedClass{
-		{At: 100 * time.Second, Class: appclass.IO},
-		{At: 105 * time.Second, Class: appclass.IO},
-		{At: 110 * time.Second, Class: appclass.CPU},
-		{At: 115 * time.Second, Class: appclass.CPU},
-	}
-	// No truncation: nothing partial.
-	stages, err := StagesFromHistory(hist, 1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, st := range stages {
-		if st.Partial {
-			t.Errorf("untruncated history produced partial stage %+v", st)
-		}
-	}
-	// Truncated: the IO stage may have begun before the window.
-	stages, err = StagesFromHistory(hist, 1, 40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(stages) != 2 {
-		t.Fatalf("%d stages, want 2", len(stages))
-	}
-	if !stages[0].Partial {
-		t.Error("first stage after truncation not flagged Partial")
-	}
-	if stages[1].Partial {
-		t.Error("second stage wrongly flagged Partial")
-	}
-	// The flag survives runt absorption into the first stage.
-	runt := append([]TimedClass{
-		{At: 95 * time.Second, Class: appclass.IO},
-	}, hist...)
-	stages, err = StagesFromHistory(runt, 3, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !stages[0].Partial {
-		t.Errorf("absorbed first stage lost Partial flag: %+v", stages)
-	}
-	if _, err := StagesFromHistory(hist, 1, -1); err == nil {
-		t.Error("negative dropped accepted")
-	}
-}
-
-// TestOnlineTruncatedHistoryYieldsPartialFirstStage exercises the edge
-// end to end: cap the history, overflow it, and check the daemon-facing
-// pair (History, HistoryDropped) flags the first stage.
-func TestOnlineTruncatedHistoryYieldsPartialFirstStage(t *testing.T) {
-	cl := trainSynthetic(t, Config{})
-	tr := syntheticTrace(t, appclass.CPU, 80, 41)
-	online, err := NewOnline(cl, tr.Schema())
-	if err != nil {
-		t.Fatal(err)
-	}
-	online.SetHistoryCap(20)
-	for i := 0; i < tr.Len(); i++ {
-		if _, err := online.Observe(tr.At(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if online.HistoryDropped() == 0 {
-		t.Fatal("cap 20 over 80 snapshots dropped nothing")
-	}
-	stages, err := StagesFromHistory(online.History(), 1, online.HistoryDropped())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(stages) == 0 || !stages[0].Partial {
-		t.Errorf("first stage over truncated history not Partial: %+v", stages)
-	}
-}

@@ -15,6 +15,9 @@ import (
 // model (the model is persisted separately via Classifier.Save). The
 // daemon's checkpoints serialize one OnlineState per live VM session so
 // a restart can resume mid-run exactly where the crash happened.
+// Checkpoints written while sessions kept a per-snapshot class history
+// also carry hist_cap, dropped and history fields; decoding ignores
+// them.
 type OnlineState struct {
 	// Counts maps class name to the number of snapshots voted for it.
 	Counts map[string]int `json:"counts"`
@@ -25,12 +28,6 @@ type OnlineState struct {
 	// FirstAtNS and LastAtNS span every observed snapshot.
 	FirstAtNS int64 `json:"first_at_ns"`
 	LastAtNS  int64 `json:"last_at_ns"`
-	// HistCap is the history retention cap in effect.
-	HistCap int `json:"hist_cap"`
-	// Dropped counts history entries trimmed by the retention cap.
-	Dropped int `json:"dropped"`
-	// History is the retained classified-snapshot sequence.
-	History []TimedClassState `json:"history,omitempty"`
 	// Drift holds one streaming accumulator per expert metric.
 	Drift []stats.WelfordState `json:"drift"`
 	// Gaps and GapTimeNS account for known holes in the sample stream
@@ -51,12 +48,6 @@ type OnlineState struct {
 	Sampler *TrainSamplerState `json:"sampler,omitempty"`
 }
 
-// TimedClassState is the wire form of one TimedClass entry.
-type TimedClassState struct {
-	AtNS  int64  `json:"at_ns"`
-	Class string `json:"class"`
-}
-
 // ExportState captures the classifier's running state for
 // serialization. The caller must hold whatever lock guards Observe.
 func (o *Online) ExportState() OnlineState {
@@ -66,9 +57,6 @@ func (o *Online) ExportState() OnlineState {
 		Last:      string(o.last),
 		FirstAtNS: int64(o.firstAt),
 		LastAtNS:  int64(o.lastAt),
-		HistCap:   o.histCap,
-		Dropped:   o.dropped,
-		History:   make([]TimedClassState, len(o.history)),
 		Drift:     make([]stats.WelfordState, len(o.drift)),
 		Gaps:      o.gaps,
 		GapTimeNS: int64(o.gapTime),
@@ -84,9 +72,6 @@ func (o *Online) ExportState() OnlineState {
 	}
 	for c, n := range o.counts {
 		st.Counts[string(c)] = n
-	}
-	for i, tc := range o.history {
-		st.History[i] = TimedClassState{AtNS: int64(tc.At), Class: string(tc.Class)}
 	}
 	for i := range o.drift {
 		st.Drift[i] = o.drift[i].State()
@@ -122,10 +107,6 @@ func RestoreOnline(cl *Classifier, schema *metrics.Schema, st OnlineState) (*Onl
 	if sum != st.Total {
 		return nil, fmt.Errorf("classify: restore: counts sum to %d, total is %d", sum, st.Total)
 	}
-	if st.Dropped < 0 || st.Dropped+len(st.History) != st.Total {
-		return nil, fmt.Errorf("classify: restore: %d retained + %d dropped history entries, total is %d",
-			len(st.History), st.Dropped, st.Total)
-	}
 	if len(st.Drift) != len(o.subset) {
 		return nil, fmt.Errorf("classify: restore: %d drift accumulators, want %d", len(st.Drift), len(o.subset))
 	}
@@ -144,18 +125,6 @@ func RestoreOnline(cl *Classifier, schema *metrics.Schema, st OnlineState) (*Onl
 	o.total = st.Total
 	o.firstAt = time.Duration(st.FirstAtNS)
 	o.lastAt = time.Duration(st.LastAtNS)
-	o.histCap = st.HistCap
-	o.dropped = st.Dropped
-	if len(st.History) > 0 {
-		o.history = make([]TimedClass, len(st.History))
-		for i, tc := range st.History {
-			class, err := appclass.Parse(tc.Class)
-			if err != nil {
-				return nil, fmt.Errorf("classify: restore: history entry %d: %w", i, err)
-			}
-			o.history[i] = TimedClass{At: time.Duration(tc.AtNS), Class: class}
-		}
-	}
 	for i, ws := range st.Drift {
 		w, err := stats.WelfordFromState(ws)
 		if err != nil {

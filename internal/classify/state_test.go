@@ -13,7 +13,7 @@ import (
 )
 
 // mixedTrace builds a multi-stage trace: an IO phase followed by a CPU
-// phase, so checkpoints carry a nontrivial composition and history.
+// phase, so checkpoints carry a nontrivial composition.
 func mixedTrace(t *testing.T) *metrics.Trace {
 	t.Helper()
 	tr := metrics.NewTrace(metrics.ExpertSchema(), "vm1")
@@ -34,8 +34,8 @@ func mixedTrace(t *testing.T) *metrics.Trace {
 // TestStateRoundTripResumesExactly interrupts an online stream halfway,
 // exports/imports the state (through JSON, like a checkpoint does), and
 // feeds the second half to both the original and the restored
-// classifier: every observable — composition, majority class, history,
-// drift — must agree.
+// classifier: every observable — composition, majority class, drift —
+// must agree.
 func TestStateRoundTripResumesExactly(t *testing.T) {
 	cl := trainSynthetic(t, Config{})
 	schema := metrics.ExpertSchema()
@@ -90,12 +90,6 @@ func TestStateRoundTripResumesExactly(t *testing.T) {
 	}
 	if d := math.Abs(vo.Drift - vr.Drift); d > 1e-12 {
 		t.Errorf("drift scores diverge by %v (%v vs %v)", d, vo.Drift, vr.Drift)
-	}
-	if !reflect.DeepEqual(orig.History(), restored.History()) {
-		t.Errorf("histories diverge (%d vs %d entries)", len(orig.History()), len(restored.History()))
-	}
-	if orig.HistoryDropped() != restored.HistoryDropped() {
-		t.Errorf("dropped diverge: %d vs %d", orig.HistoryDropped(), restored.HistoryDropped())
 	}
 }
 
@@ -162,8 +156,10 @@ func TestStateRoundTripCarriesGaps(t *testing.T) {
 	}
 }
 
-// TestStateRoundTripWithTrimmedHistory checkpoints a session whose
-// retention cap has already dropped entries.
+// TestStateRoundTripWithTrimmedHistory restores a state exported while
+// sessions kept a capped per-snapshot class history: its hist_cap,
+// dropped and (trimmed) history fields are ignored, and the session
+// resumes exactly like one restored from a state without them.
 func TestStateRoundTripWithTrimmedHistory(t *testing.T) {
 	cl := trainSynthetic(t, Config{})
 	schema := metrics.ExpertSchema()
@@ -173,25 +169,63 @@ func TestStateRoundTripWithTrimmedHistory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o.SetHistoryCap(4)
-	for i := 0; i < trace.Len(); i++ {
+	half := trace.Len() / 2
+	for i := 0; i < half; i++ {
 		if _, err := o.Observe(trace.At(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if o.HistoryDropped() == 0 {
-		t.Fatalf("test needs a trimmed history (trace len %d, cap 4)", trace.Len())
-	}
-	restored, err := RestoreOnline(cl, schema, o.ExportState())
+	doc, err := json.Marshal(o.ExportState())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if restored.Seen() != o.Seen() || restored.HistoryDropped() != o.HistoryDropped() {
-		t.Errorf("restored seen/dropped = %d/%d, want %d/%d",
-			restored.Seen(), restored.HistoryDropped(), o.Seen(), o.HistoryDropped())
+	// The older writer's shape: a 4-entry cap that has trimmed the rest.
+	var legacy map[string]any
+	if err := json.Unmarshal(doc, &legacy); err != nil {
+		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(restored.History(), o.History()) {
-		t.Errorf("trimmed histories diverge")
+	legacy["hist_cap"] = 4
+	legacy["dropped"] = half - 4
+	var hist []any
+	for i := half - 4; i < half; i++ {
+		snap := trace.At(i)
+		c, err := cl.ClassifySnapshot(schema, snap.Values)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hist = append(hist, map[string]any{"at_ns": int64(snap.Time), "class": string(c)})
+	}
+	legacy["history"] = hist
+	legacyDoc, err := json.Marshal(legacy)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	restore := func(doc []byte) *Online {
+		t.Helper()
+		var st OnlineState
+		if err := json.Unmarshal(doc, &st); err != nil {
+			t.Fatal(err)
+		}
+		r, err := RestoreOnline(cl, schema, st)
+		if err != nil {
+			t.Fatalf("RestoreOnline: %v", err)
+		}
+		return r
+	}
+	want, got := restore(doc), restore(legacyDoc)
+	for i := half; i < trace.Len(); i++ {
+		for _, o := range []*Online{want, got} {
+			if _, err := o.Observe(trace.At(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if !reflect.DeepEqual(got.Snapshot(), want.Snapshot()) {
+		t.Errorf("legacy-state session diverged:\n got %+v\nwant %+v", got.Snapshot(), want.Snapshot())
+	}
+	if !reflect.DeepEqual(got.ExportState(), want.ExportState()) {
+		t.Errorf("legacy-state session re-exports differently")
 	}
 }
 
@@ -215,15 +249,11 @@ func TestRestoreOnlineRejectsInvalidState(t *testing.T) {
 		return st
 	}
 	cases := map[string]OnlineState{
-		"bad count class":  mutate(func(s *OnlineState) { s.Counts["warp"] = s.Counts[s.Last]; delete(s.Counts, s.Last) }),
-		"count mismatch":   mutate(func(s *OnlineState) { s.Total += 3 }),
-		"history mismatch": mutate(func(s *OnlineState) { s.History = nil }),
-		"bad last":         mutate(func(s *OnlineState) { s.Last = "warp" }),
-		"drift arity":      mutate(func(s *OnlineState) { s.Drift = s.Drift[:1] }),
-		"bad drift":        mutate(func(s *OnlineState) { s.Drift[0] = stats.WelfordState{N: -1} }),
-		"bad history class": mutate(func(s *OnlineState) {
-			s.History[0].Class = "warp"
-		}),
+		"bad count class": mutate(func(s *OnlineState) { s.Counts["warp"] = s.Counts[s.Last]; delete(s.Counts, s.Last) }),
+		"count mismatch":  mutate(func(s *OnlineState) { s.Total += 3 }),
+		"bad last":        mutate(func(s *OnlineState) { s.Last = "warp" }),
+		"drift arity":     mutate(func(s *OnlineState) { s.Drift = s.Drift[:1] }),
+		"bad drift":       mutate(func(s *OnlineState) { s.Drift[0] = stats.WelfordState{N: -1} }),
 	}
 	for name, st := range cases {
 		if _, err := RestoreOnline(cl, schema, st); err == nil {

@@ -3,7 +3,6 @@ package classify
 import (
 	"math"
 	"testing"
-	"time"
 
 	"repro/internal/appclass"
 	"repro/internal/metrics"
@@ -86,46 +85,5 @@ func TestUntrainedClassifierErrorsNotPanics(t *testing.T) {
 	}
 	if _, err := nilCl.ClassifyTrace(tr); err == nil {
 		t.Error("nil classifier ClassifyTrace: want error")
-	}
-}
-
-func TestStagesFromHistory(t *testing.T) {
-	hist := []TimedClass{
-		{At: 0, Class: appclass.Idle},
-		{At: 5 * time.Second, Class: appclass.Idle},
-		{At: 10 * time.Second, Class: appclass.IO},
-		{At: 15 * time.Second, Class: appclass.IO},
-		{At: 20 * time.Second, Class: appclass.IO},
-		{At: 25 * time.Second, Class: appclass.CPU}, // single-snapshot flicker
-		{At: 30 * time.Second, Class: appclass.IO},
-	}
-	stages, err := StagesFromHistory(hist, 1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(stages) != 4 {
-		t.Fatalf("minLen=1: %d stages (%s), want 4", len(stages), StageSummary(stages))
-	}
-	if stages[0].Class != appclass.Idle || stages[0].Snapshots != 2 || stages[0].End != 5*time.Second {
-		t.Errorf("stage 0 = %+v", stages[0])
-	}
-
-	// minLen=2 absorbs the CPU flicker into the preceding IO stage.
-	stages, err = StagesFromHistory(hist, 2, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(stages) != 2 {
-		t.Fatalf("minLen=2: %d stages (%s), want 2", len(stages), StageSummary(stages))
-	}
-	if stages[1].Class != appclass.IO || stages[1].Snapshots != 5 || stages[1].End != 30*time.Second {
-		t.Errorf("absorbed stage = %+v", stages[1])
-	}
-
-	if got, err := StagesFromHistory(nil, 1, 0); err != nil || len(got) != 0 {
-		t.Errorf("empty history: stages=%v err=%v", got, err)
-	}
-	if _, err := StagesFromHistory(hist, 0, 0); err == nil {
-		t.Error("minLen=0: want error")
 	}
 }

@@ -132,9 +132,8 @@ type resilienceGauges struct {
 
 // writeMetrics renders every counter plus the caller-supplied gauges in
 // Prometheus text format. pstats is nil when no placement service is
-// configured; dg is nil when no journal is configured; historyDropped
-// sums Online.HistoryDropped over live sessions.
-func (c *counters) writeMetrics(w io.Writer, sessions []int, uptimeSeconds float64, pstats *placement.Stats, historyDropped int64, dg *durabilityGauges, rg resilienceGauges, mg modelGauges, sg *appstore.Stats, tg superviseGauges) {
+// configured; dg is nil when no journal is configured.
+func (c *counters) writeMetrics(w io.Writer, sessions []int, uptimeSeconds float64, pstats *placement.Stats, dg *durabilityGauges, rg resilienceGauges, mg modelGauges, sg *appstore.Stats, tg superviseGauges) {
 	counter := func(name, help string, v int64) {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
 	}
@@ -201,10 +200,6 @@ func (c *counters) writeMetrics(w io.Writer, sessions []int, uptimeSeconds float
 	for i, n := range sessions {
 		fmt.Fprintf(w, "appclassd_shard_sessions{shard=\"%d\"} %d\n", i, n)
 	}
-	// appclassd_history_dropped is a gauge (no _total suffix): it sums
-	// HistoryDropped over *live* sessions, so it shrinks when a session
-	// finalizes.
-	fmt.Fprintf(w, "# HELP appclassd_history_dropped History entries trimmed by the retention cap across live sessions.\n# TYPE appclassd_history_dropped gauge\nappclassd_history_dropped %d\n", historyDropped)
 	// Poll-path health gauges: the breaker's position and the unix time
 	// of the last successful poll (-1 before the first success) let an
 	// alert distinguish "daemon up, source down" from "daemon down".

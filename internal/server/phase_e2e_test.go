@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -132,6 +133,68 @@ func TestSegmentationRecoversPlantedBoundary(t *testing.T) {
 	decodeJSON(t, w, &detail)
 	if detail.Phases != len(view.Phases) || len(detail.PhaseList) != len(view.Phases) {
 		t.Errorf("API reports %d/%d phases, session has %d", detail.Phases, len(detail.PhaseList), len(view.Phases))
+	}
+}
+
+// TestVMStagesDerivedFromPhases streams a planted two-regime session
+// and checks that /v1/vms/{vm} derives stages from the phase list:
+// adjacent same-class phases merge, the stage snapshot counts cover the
+// whole session, and with segmentation off there are no stages.
+func TestVMStagesDerivedFromPhases(t *testing.T) {
+	vm := "stages-vm"
+	trace, _ := splicedTrace(t, vm, "SPECseis96_C", "PostMark")
+	type span struct {
+		Class        string  `json:"class"`
+		StartSeconds float64 `json:"start_s"`
+		EndSeconds   float64 `json:"end_s"`
+		Snapshots    int     `json:"snapshots"`
+	}
+	var detail struct {
+		Snapshots int    `json:"snapshots"`
+		Stages    []span `json:"stages"`
+		PhaseList []span `json:"phase_list"`
+	}
+
+	s := newTestServer(t, Config{})
+	ingestTraceRange(t, s, vm, trace, 0, trace.Len())
+	decodeJSON(t, getJSON(t, s, "/v1/vms/"+vm), &detail)
+	if len(detail.PhaseList) < 2 {
+		t.Fatalf("segmenter found %d phases, want the planted regimes apart", len(detail.PhaseList))
+	}
+	var want []span
+	for _, p := range detail.PhaseList {
+		if n := len(want); n > 0 && want[n-1].Class == p.Class {
+			want[n-1].EndSeconds = p.EndSeconds
+			want[n-1].Snapshots += p.Snapshots
+			continue
+		}
+		want = append(want, p)
+	}
+	if !reflect.DeepEqual(detail.Stages, want) {
+		t.Errorf("stages = %+v, want the phase list merged by class: %+v", detail.Stages, want)
+	}
+	if len(detail.Stages) < 2 || detail.Stages[0].Class != string(appclass.CPU) ||
+		detail.Stages[len(detail.Stages)-1].Class != string(appclass.IO) {
+		t.Errorf("stages = %+v, want a cpu stage first and an io stage last", detail.Stages)
+	}
+	sum := 0
+	for _, st := range detail.Stages {
+		sum += st.Snapshots
+	}
+	if sum != detail.Snapshots || sum != trace.Len() {
+		t.Errorf("stage snapshots sum to %d, session has %d (trace %d)", sum, detail.Snapshots, trace.Len())
+	}
+
+	off := newTestServer(t, Config{SegmentWindow: -1})
+	ingestTraceRange(t, off, vm, trace, 0, trace.Len())
+	w := getJSON(t, off, "/v1/vms/"+vm)
+	var raw map[string]json.RawMessage
+	decodeJSON(t, w, &raw)
+	if got := string(raw["stages"]); got != "[]" {
+		t.Errorf("with segmentation off, stages = %s, want []", got)
+	}
+	if _, ok := raw["phase_list"]; ok {
+		t.Errorf("with segmentation off, phase_list = %s, want it omitted", raw["phase_list"])
 	}
 }
 
