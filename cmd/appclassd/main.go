@@ -77,8 +77,6 @@ type config struct {
 	journalDir      string
 	fsync           string
 	fsyncInterval   time.Duration
-	fsyncGroup      bool
-	fsyncWindow     time.Duration
 	checkpointEvery time.Duration
 	journalSegBytes int64
 	journalMaxBytes int64
@@ -135,10 +133,8 @@ func parseFlags(args []string) (config, error) {
 	fs.Int64Var(&cfg.appdbMaxBytes, "appdb-max-bytes", 0, "cap the application-database store at this total segment size, pruning the oldest runs (default unlimited)")
 	fs.DurationVar(&cfg.appdbRetain, "appdb-retain", 0, "drop application-database runs finalized longer ago than this (default keep forever)")
 	fs.StringVar(&cfg.journalDir, "journal-dir", "", "write-ahead journal directory (enables durable ingest and crash recovery)")
-	fs.StringVar(&cfg.fsync, "fsync", "interval", "journal fsync policy: always, interval, or never")
+	fs.StringVar(&cfg.fsync, "fsync", "interval", "journal fsync policy: always (concurrent appends share one fsync), interval, or never")
 	fs.DurationVar(&cfg.fsyncInterval, "fsync-interval", time.Second, "fsync cadence for -fsync interval")
-	fs.BoolVar(&cfg.fsyncGroup, "fsync-group-commit", false, "coalesce concurrent -fsync always appends behind shared fsyncs (group commit)")
-	fs.DurationVar(&cfg.fsyncWindow, "fsync-window", 0, "group-commit leader waits this long for stragglers before syncing (default 0)")
 	fs.DurationVar(&cfg.checkpointEvery, "checkpoint-every", 30*time.Second, "session checkpoint cadence")
 	fs.Int64Var(&cfg.journalSegBytes, "journal-segment-bytes", 0, "rotate journal segments at this size (default 8 MiB)")
 	fs.Int64Var(&cfg.journalMaxBytes, "journal-max-bytes", 0, "cap closed journal segments at this total size, dropping the oldest (default unlimited)")
@@ -198,22 +194,13 @@ func parseFlags(args []string) (config, error) {
 		var set []string
 		fs.Visit(func(f *flag.Flag) {
 			switch f.Name {
-			case "fsync", "fsync-interval", "fsync-group-commit", "fsync-window", "checkpoint-every", "journal-segment-bytes", "journal-max-bytes", "degraded-on-wal-error", "recover-force":
+			case "fsync", "fsync-interval", "checkpoint-every", "journal-segment-bytes", "journal-max-bytes", "degraded-on-wal-error", "recover-force":
 				set = append(set, "-"+f.Name)
 			}
 		})
 		if len(set) > 0 {
 			return config{}, fmt.Errorf("%s require(s) -journal-dir", strings.Join(set, ", "))
 		}
-	}
-	if cfg.fsyncGroup && cfg.fsync != "always" {
-		return config{}, fmt.Errorf("-fsync-group-commit requires -fsync always, got -fsync %s", cfg.fsync)
-	}
-	if cfg.fsyncWindow != 0 && !cfg.fsyncGroup {
-		return config{}, fmt.Errorf("-fsync-window requires -fsync-group-commit")
-	}
-	if cfg.fsyncWindow < 0 {
-		return config{}, fmt.Errorf("-fsync-window must be non-negative, got %v", cfg.fsyncWindow)
 	}
 	if cfg.retrainEvery <= 0 {
 		var set []string
@@ -387,24 +374,18 @@ func run(ctx context.Context, cfg config, ready chan<- string) error {
 			return err
 		}
 		journal, err = wal.Open(wal.Config{
-			Dir:               cfg.journalDir,
-			SegmentBytes:      cfg.journalSegBytes,
-			MaxBytes:          cfg.journalMaxBytes,
-			Fsync:             policy,
-			FsyncEvery:        cfg.fsyncInterval,
-			GroupCommit:       cfg.fsyncGroup,
-			GroupCommitWindow: cfg.fsyncWindow,
-			Logf:              log.Printf,
+			Dir:          cfg.journalDir,
+			SegmentBytes: cfg.journalSegBytes,
+			MaxBytes:     cfg.journalMaxBytes,
+			Fsync:        policy,
+			FsyncEvery:   cfg.fsyncInterval,
+			Logf:         log.Printf,
 		})
 		if err != nil {
 			return err
 		}
 		defer journal.Close()
-		mode := policy.String()
-		if cfg.fsyncGroup {
-			mode += " group-commit"
-		}
-		log.Printf("appclassd: journaling to %s (fsync %s)", cfg.journalDir, mode)
+		log.Printf("appclassd: journaling to %s (fsync %s)", cfg.journalDir, policy)
 	}
 
 	srv, err := server.New(server.Config{

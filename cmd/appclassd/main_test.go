@@ -481,33 +481,9 @@ func TestParseJournalFlags(t *testing.T) {
 		{"-fsync", "always"},
 		{"-checkpoint-every", "10s"},
 		{"-journal-max-bytes", "4096"},
-		{"-fsync-group-commit", "-fsync", "always"},
 	} {
 		if _, err := parseFlags(args); err == nil {
 			t.Errorf("%v without -journal-dir: want error", args)
-		}
-	}
-}
-
-func TestParseGroupCommitFlags(t *testing.T) {
-	cfg, err := parseFlags([]string{
-		"-journal-dir", "/tmp/j", "-fsync", "always",
-		"-fsync-group-commit", "-fsync-window", "200us",
-	})
-	if err != nil {
-		t.Fatalf("parse: %v", err)
-	}
-	if !cfg.fsyncGroup || cfg.fsyncWindow != 200*time.Microsecond {
-		t.Errorf("parsed = %+v", cfg)
-	}
-	for _, args := range [][]string{
-		{"-journal-dir", "/tmp/j", "-fsync-group-commit"},                      // default fsync is interval
-		{"-journal-dir", "/tmp/j", "-fsync", "never", "-fsync-group-commit"},   // wrong policy
-		{"-journal-dir", "/tmp/j", "-fsync", "always", "-fsync-window", "1ms"}, // window without group commit
-		{"-journal-dir", "/tmp/j", "-fsync", "always", "-fsync-group-commit", "-fsync-window", "-1ms"},
-	} {
-		if _, err := parseFlags(args); err == nil {
-			t.Errorf("%v: want error", args)
 		}
 	}
 }

@@ -835,7 +835,7 @@ func (s *Server) observeBatch(vm string, snaps []metrics.Snapshot, classes []app
 			// classified, so the journal is never behind the session state —
 			// unless DegradeOnWALError trades that guarantee for liveness,
 			// in which case the batch is classified memory-only and the
-			// daemon drops into explicit degraded mode. Under group commit
+			// daemon drops into explicit degraded mode. Under -fsync always
 			// only the write happens here; the fsync wait is deferred to
 			// the caller's waitJournalDurable so a multi-group request
 			// pays one durability wait, not one per VM group.

@@ -49,7 +49,6 @@ func TestGroupCommitCoalesces(t *testing.T) {
 	var syncs atomic.Int64
 	j := openTestJournal(t, Config{
 		Fsync:           FsyncAlways,
-		GroupCommit:     true,
 		OpenSegmentFile: slowSyncOpener(2*time.Millisecond, &syncs, nil),
 	})
 	const writers, each = 8, 20
@@ -97,7 +96,6 @@ func TestGroupCommitDurableBeforeAck(t *testing.T) {
 	var syncs atomic.Int64
 	j := openTestJournal(t, Config{
 		Fsync:           FsyncAlways,
-		GroupCommit:     true,
 		OpenSegmentFile: slowSyncOpener(0, &syncs, nil),
 	})
 	for i := 0; i < 5; i++ {
@@ -111,47 +109,15 @@ func TestGroupCommitDurableBeforeAck(t *testing.T) {
 	}
 }
 
-// TestGroupCommitWindow exercises the optional leader wait: appends
-// still complete and are durable, just on a wider coalescing window.
-func TestGroupCommitWindow(t *testing.T) {
-	var syncs atomic.Int64
-	j := openTestJournal(t, Config{
-		Fsync:             FsyncAlways,
-		GroupCommit:       true,
-		GroupCommitWindow: time.Millisecond,
-		OpenSegmentFile:   slowSyncOpener(0, &syncs, nil),
-	})
-	const writers = 4
-	var wg sync.WaitGroup
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			vm := fmt.Sprintf("vm-%d", w)
-			for i := 0; i < 5; i++ {
-				if _, err := j.AppendBatch(vm, testSnaps(vm, 1, 4, 1)); err != nil {
-					t.Errorf("append: %v", err)
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	if syncs.Load() == 0 {
-		t.Fatal("no fsync happened")
-	}
-}
-
 // TestGroupCommitLeaderError asserts a failing fsync surfaces to every
 // waiting appender — a follower whose leader failed self-elects, tries
-// its own sync, and gets its own error — matching plain FsyncAlways
-// semantics where no record is acknowledged past a failed sync.
+// its own sync, and gets its own error — so no record is acknowledged
+// past a failed sync.
 func TestGroupCommitLeaderError(t *testing.T) {
 	var syncs atomic.Int64
 	var fail atomic.Bool
 	j := openTestJournal(t, Config{
 		Fsync:           FsyncAlways,
-		GroupCommit:     true,
 		OpenSegmentFile: slowSyncOpener(time.Millisecond, &syncs, &fail),
 	})
 	// Prime a healthy append so the stream is established.
@@ -195,7 +161,6 @@ func TestGroupCommitReplayComplete(t *testing.T) {
 	j := openTestJournal(t, Config{
 		Dir:             dir,
 		Fsync:           FsyncAlways,
-		GroupCommit:     true,
 		SegmentBytes:    4 << 10, // force rotations mid-run
 		OpenSegmentFile: slowSyncOpener(0, &syncs, nil),
 	})
