@@ -36,7 +36,9 @@
 // close, rename, directory fsync), so a crash leaves either the old
 // file or all of the new one; TempBase recognizes the temp files a
 // crash mid-publish leaves behind. Quarantine keeps a damaged file
-// aside as <name>.corrupt for inspection.
+// aside as <name>.corrupt for inspection. Name formats and parses the
+// numbered file names (journal-00000001.wal), and RoundRobin picks the
+// next run of segments a rate-limited scrubber examines.
 package seglog
 
 import (

@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"testing/iotest"
 )
@@ -205,6 +206,75 @@ func TestTempBase(t *testing.T) {
 	f.Close()
 	if base, ok := TempBase(filepath.Base(f.Name())); !ok || base != "x.seg" {
 		t.Errorf("TempBase(%q) = %q, %v", filepath.Base(f.Name()), base, ok)
+	}
+}
+
+func TestName(t *testing.T) {
+	n := Name{Prefix: "journal", Ext: "wal"}
+	if got, want := n.Path("d", 7), filepath.Join("d", "journal-00000007.wal"); got != want {
+		t.Errorf("Path = %q, want %q", got, want)
+	}
+	if got, want := n.Path("d", 123456789), filepath.Join("d", "journal-123456789.wal"); got != want {
+		t.Errorf("Path past 8 digits = %q, want %q", got, want)
+	}
+	for name, want := range map[string]uint64{
+		"journal-00000001.wal":     1,
+		"journal-123456789.wal":    123456789,
+		"journal-7.wal":            7,
+		"journal-00000000.wal":     0, // sequence numbers start at 1
+		"journal-00000001.wal.tmp": 0,
+		"journal-00000001.ckpt":    0,
+		"store-00000001.wal":       0,
+		"journal-.wal":             0,
+		"journal-+1.wal":           0,
+		"journal-0x1.wal":          0,
+		"journal.wal":              0,
+	} {
+		seq, ok := n.Parse(name)
+		if ok != (want != 0) || seq != want {
+			t.Errorf("Parse(%q) = %d, %v; want %d", name, seq, ok, want)
+		}
+	}
+	for _, seq := range []uint64{1, 42, 99999999, 100000000} {
+		if got, ok := n.Parse(filepath.Base(n.Path("d", seq))); !ok || got != seq {
+			t.Errorf("Parse(Path(%d)) = %d, %v", seq, got, ok)
+		}
+	}
+}
+
+func TestRoundRobin(t *testing.T) {
+	seqs := []uint64{2, 3, 5, 8, 13}
+	id := func(s uint64) uint64 { return s }
+	for _, tc := range []struct {
+		cursor uint64
+		max    int
+		want   []uint64
+	}{
+		{0, 2, []uint64{2, 3}},
+		{3, 2, []uint64{3, 5}},
+		{4, 2, []uint64{5, 8}},
+		{9, 2, []uint64{13}},    // the tail run is short, not wrapped
+		{14, 2, []uint64{2, 3}}, // past the last item: wrap
+		{1, 10, []uint64{2, 3, 5, 8, 13}},
+	} {
+		got := RoundRobin(seqs, id, tc.cursor, tc.max)
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("RoundRobin(cursor %d, max %d) = %v, want %v", tc.cursor, tc.max, got, tc.want)
+		}
+	}
+	if got := RoundRobin(nil, id, 3, 2); len(got) != 0 {
+		t.Errorf("RoundRobin over no items = %v", got)
+	}
+	// Advancing the cursor past each run visits every item in turn.
+	var visited []uint64
+	cursor := uint64(0)
+	for i := 0; i < 3; i++ {
+		run := RoundRobin(seqs, id, cursor, 2)
+		visited = append(visited, run...)
+		cursor = run[len(run)-1] + 1
+	}
+	if want := []uint64{2, 3, 5, 8, 13}; !reflect.DeepEqual(visited, want) {
+		t.Errorf("three passes visited %v, want %v", visited, want)
 	}
 }
 
