@@ -193,7 +193,7 @@ func (s *Store) copyForwardLocked(victims map[uint64]bool, quarantine bool) (cop
 	if copies > 0 {
 		newSeg = s.nextSegNoLocked()
 		var size int64
-		err = seglog.Publish(segPath(s.dir, newSeg), func(w io.Writer) error {
+		err = seglog.Publish(segName.Path(s.dir, newSeg), func(w io.Writer) error {
 			hdr := seglog.AppendHeader(nil, segMagic, segVersion)
 			if _, err := w.Write(hdr); err != nil {
 				return err
@@ -227,7 +227,7 @@ func (s *Store) copyForwardLocked(victims map[uint64]bool, quarantine bool) (cop
 		if rd := s.segs[no].rd; rd != nil {
 			rd.Close()
 		}
-		path := segPath(s.dir, no)
+		path := segName.Path(s.dir, no)
 		if quarantine {
 			if _, err := seglog.Quarantine(path, false); err != nil {
 				return 0, 0, fmt.Errorf("appstore: %w", err)

@@ -23,7 +23,7 @@ func lastSegment(t *testing.T, dir string) string {
 	var best uint64
 	var path string
 	for _, e := range ents {
-		if no, ok := parseSegName(e.Name()); ok && no >= best {
+		if no, ok := segName.Parse(e.Name()); ok && no >= best {
 			best, path = no, filepath.Join(dir, e.Name())
 		}
 	}
@@ -201,7 +201,7 @@ func onDiskSegBytes(t *testing.T, dir string) int64 {
 	}
 	var total int64
 	for _, e := range ents {
-		if _, ok := parseSegName(e.Name()); ok {
+		if _, ok := segName.Parse(e.Name()); ok {
 			fi, err := e.Info()
 			if err != nil {
 				t.Fatal(err)
@@ -238,7 +238,7 @@ func TestCorruptHeaderQuarantine(t *testing.T) {
 	var best uint64
 	var path string
 	for _, e := range ents {
-		no, ok := parseSegName(e.Name())
+		no, ok := segName.Parse(e.Name())
 		if !ok || no < best {
 			continue
 		}
@@ -399,7 +399,7 @@ func TestChurnAndReopenConsistency(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, e := range ents {
-		if _, ok := parseSegName(e.Name()); ok {
+		if _, ok := segName.Parse(e.Name()); ok {
 			fi, err := e.Info()
 			if err != nil {
 				t.Fatal(err)
@@ -456,7 +456,7 @@ func TestCrashMidRetentionPrune(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, tombstonesName), doc, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Remove(segPath(dir, victim)); err != nil {
+	if err := os.Remove(segName.Path(dir, victim)); err != nil {
 		t.Fatal(err)
 	}
 

@@ -21,7 +21,7 @@ func corruptLiveFrame(t *testing.T, s *Store, seq uint64) uint64 {
 	}
 	e := s.entries[i]
 	s.mu.RUnlock()
-	path := segPath(s.dir, e.seg)
+	path := segName.Path(s.dir, e.seg)
 	b, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -64,10 +64,10 @@ func TestScrubRepairsDamagedSegment(t *testing.T) {
 	if rep.Seg != victim || rep.BadFrames != 1 || rep.LostRecords != 1 || !rep.Repaired {
 		t.Fatalf("report = %+v", rep)
 	}
-	if _, err := os.Stat(segPath(dir, victim) + ".corrupt"); err != nil {
+	if _, err := os.Stat(segName.Path(dir, victim) + ".corrupt"); err != nil {
 		t.Errorf("quarantine missing: %v", err)
 	}
-	if _, err := os.Stat(segPath(dir, victim)); !os.IsNotExist(err) {
+	if _, err := os.Stat(segName.Path(dir, victim)); !os.IsNotExist(err) {
 		t.Errorf("victim segment still present: %v", err)
 	}
 

@@ -72,7 +72,7 @@ func writeGoldenSegment(t *testing.T) []byte {
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	b, err := os.ReadFile(segmentPath(dir, 1))
+	b, err := os.ReadFile(segmentName.Path(dir, 1))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -97,7 +97,7 @@ func Replay(dir string, from Position, fn func(pos Position, rec Record) error) 
 		if seg.seq == from.Seg {
 			startOff = from.Off
 		}
-		info, err := scanSegment(segmentPath(dir, seg.seq), seg.seq, startOff, func(end Position, rec Record) error {
+		info, err := scanSegment(segmentName.Path(dir, seg.seq), seg.seq, startOff, func(end Position, rec Record) error {
 			stats.Records++
 			stats.Snapshots += len(rec.Snaps)
 			return fn(end, rec)
@@ -120,7 +120,7 @@ func Replay(dir string, from Position, fn func(pos Position, rec Record) error) 
 // an error for torn or corrupt data — that is reported in the
 // SegmentInfo — only for I/O failures or a non-segment path.
 func ScanSegment(path string, fn func(pos Position, rec Record) error) (SegmentInfo, error) {
-	seq, ok := parseSegmentName(filepath.Base(path))
+	seq, ok := segmentName.Parse(filepath.Base(path))
 	if !ok {
 		return SegmentInfo{}, fmt.Errorf("wal: %s is not a journal segment", path)
 	}
@@ -238,7 +238,7 @@ func VerifyDir(dir string) ([]SegmentInfo, error) {
 	}
 	out := make([]SegmentInfo, 0, len(segs))
 	for _, seg := range segs {
-		info, err := scanSegment(segmentPath(dir, seg.seq), seg.seq, 0, nil)
+		info, err := scanSegment(segmentName.Path(dir, seg.seq), seg.seq, 0, nil)
 		if err != nil {
 			return out, err
 		}
@@ -262,7 +262,7 @@ func SegmentHashes(dir string, from uint64) (map[uint64]string, error) {
 		if seg.seq < from {
 			continue
 		}
-		path := segmentPath(dir, seg.seq)
+		path := segmentName.Path(dir, seg.seq)
 		f, err := os.Open(path)
 		if err != nil {
 			return nil, fmt.Errorf("wal: open segment %s: %w", path, err)

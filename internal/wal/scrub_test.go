@@ -106,7 +106,7 @@ func TestScrubDirLeavesTornTail(t *testing.T) {
 
 func TestScrubDirRespectsCheckpoint(t *testing.T) {
 	dir, segPath, ends := buildJournal(t, 6)
-	seq, _ := parseSegmentName(filepath.Base(segPath))
+	seq, _ := segmentName.Parse(filepath.Base(segPath))
 	// Checkpoint covering the first four records; damage before its
 	// offset must not be repaired (replay-from-checkpoint would land
 	// mid-record after the shift).
@@ -123,7 +123,7 @@ func TestScrubDirRespectsCheckpoint(t *testing.T) {
 	}
 	// Damage past the checkpoint offset is repairable.
 	dir2, segPath2, ends2 := buildJournal(t, 6)
-	seq2, _ := parseSegmentName(filepath.Base(segPath2))
+	seq2, _ := segmentName.Parse(filepath.Base(segPath2))
 	if _, err := SaveCheckpoint(dir2, Position{Seg: seq2, Off: ends2[1]}, time.Now(), "", []byte(`{}`)); err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestJournalScrubRepairsSealedSegment(t *testing.T) {
 		}
 	}
 	sealedSeq := uint64(2)
-	path := segmentPath(dir, sealedSeq)
+	path := segmentName.Path(dir, sealedSeq)
 	b, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -259,7 +259,7 @@ func TestJournalScrubSkipsPrunedSegment(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := os.Remove(segmentPath(dir, 1)); err != nil {
+	if err := os.Remove(segmentName.Path(dir, 1)); err != nil {
 		t.Fatal(err)
 	}
 	sum, err := j.Scrub(ScrubConfig{MaxSegments: 10})

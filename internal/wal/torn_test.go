@@ -24,7 +24,7 @@ func buildJournal(t *testing.T, records int) (dir, segPath string, ends []int64)
 		}
 		ends = append(ends, pos.Off)
 	}
-	segPath = segmentPath(dir, j.Pos().Seg)
+	segPath = segmentName.Path(dir, j.Pos().Seg)
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestReplayReportsMissingSegments(t *testing.T) {
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Remove(segmentPath(dir, 2)); err != nil {
+	if err := os.Remove(segmentName.Path(dir, 2)); err != nil {
 		t.Fatal(err)
 	}
 	got := 0
@@ -215,7 +215,7 @@ func TestReplayReportsMissingSegments(t *testing.T) {
 // segment whose header never made it to disk is dropped entirely.
 func TestHeaderlessSegmentRemoved(t *testing.T) {
 	dir := t.TempDir()
-	path := segmentPath(dir, 1)
+	path := segmentName.Path(dir, 1)
 	if err := os.WriteFile(path, []byte{1, 2, 3}, 0o644); err != nil {
 		t.Fatal(err)
 	}
