@@ -153,7 +153,7 @@ func run(cmd string, args []string, stdout io.Writer) error {
 		})
 	case "fingerprints":
 		return withDB(args, nil, func(db *appdb.DB, _ *flag.FlagSet) error {
-			dict := db.Fingerprints()
+			dict := db.Dictionary()
 			if len(dict) == 0 {
 				fmt.Fprintln(stdout, "no fingerprinted runs")
 				return nil
@@ -168,9 +168,10 @@ func run(cmd string, args []string, stdout io.Writer) error {
 				if err != nil {
 					return err
 				}
-				line := fmt.Sprintf("%-20s %s", app, dict[app])
-				if rec.MatchedApp != "" {
-					line += fmt.Sprintf("  (matched %s, score %.2f)", rec.MatchedApp, rec.MatchScore)
+				e := dict[app]
+				line := fmt.Sprintf("%-20s %s", app, e.Fingerprint)
+				if e.MatchedApp != "" {
+					line += fmt.Sprintf("  (matched %s, score %.2f)", e.MatchedApp, e.MatchScore)
 				}
 				if rec.Verdict == appclass.Unknown {
 					line += "  [UNKNOWN verdict]"

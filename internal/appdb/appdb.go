@@ -40,6 +40,10 @@ type Summary = appstore.Summary
 // Filter narrows a Scan (see appstore.Filter).
 type Filter = appstore.Filter
 
+// DictEntry is one fingerprint-dictionary entry (see
+// appstore.DictEntry).
+type DictEntry = appstore.DictEntry
+
 // stored is one in-memory record plus its insertion sequence number,
 // which gives the memory engine the same stable newest-first Scan
 // cursor semantics as the segmented store.
@@ -243,7 +247,8 @@ func matchFilter(f Filter, r *Record) bool {
 
 // Fingerprints returns the fingerprint dictionary: each application's
 // most recent fingerprinted run. This is the corpus BestMatch compares
-// a finalizing session against.
+// a finalizing session against. On the segmented store it is served from
+// the index (see appstore.Store.Dictionary).
 func (db *DB) Fingerprints() map[string]phase.Fingerprint {
 	if db.store != nil {
 		fps, err := db.store.Fingerprints()
@@ -254,13 +259,31 @@ func (db *DB) Fingerprints() map[string]phase.Fingerprint {
 		}
 		return fps
 	}
+	dict := db.Dictionary()
+	out := make(map[string]phase.Fingerprint, len(dict))
+	for app, e := range dict {
+		out[app] = e.Fingerprint
+	}
+	return out
+}
+
+// Dictionary returns the fingerprint dictionary with the match each
+// entry's run finalized with.
+func (db *DB) Dictionary() map[string]DictEntry {
+	if db.store != nil {
+		dict, err := db.store.Dictionary()
+		if err != nil {
+			db.logf("appdb: reading fingerprint dictionary: %v", err)
+		}
+		return dict
+	}
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	out := make(map[string]phase.Fingerprint)
+	out := make(map[string]DictEntry)
 	for app, ss := range db.records {
 		for i := len(ss) - 1; i >= 0; i-- {
-			if fp := ss[i].rec.Fingerprint; fp != nil && !fp.Empty() {
-				out[app] = *fp
+			if r := &ss[i].rec; r.Fingerprint != nil && !r.Fingerprint.Empty() {
+				out[app] = DictEntry{Fingerprint: *r.Fingerprint, MatchedApp: r.MatchedApp, MatchScore: r.MatchScore}
 				break
 			}
 		}

@@ -52,7 +52,11 @@ func (s *Store) Prune(keep int) (int, error) {
 	return dropped, s.compactLocked()
 }
 
+// markDeadLocked tombstones e in the index. It is the one place Prune,
+// retention and scrub repair kill a record, so it also keeps the
+// fingerprint dictionary current.
 func (s *Store) markDeadLocked(e *entry) {
+	s.dictKillLocked(e)
 	e.dead = true
 	s.segs[e.seg].live--
 	s.segs[e.seg].dead++

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/appclass"
-	"repro/internal/phase"
 	"repro/internal/seglog"
 )
 
@@ -130,6 +129,7 @@ type Store struct {
 	segs    map[uint64]*segInfo
 	interns map[string]string // string interning across entries
 	buf     []byte            // reused append encode buffer
+	dict    dictCache         // the fingerprint dictionary (dict.go)
 	stats   Stats
 	closed  bool
 	// scrubNext is the scrub cursor: the next closed segment Scrub
@@ -489,6 +489,9 @@ func (s *Store) Append(r *Record) error {
 	}
 	s.entries = append(s.entries, entry{meta: m, seg: s.seg, off: off, n: int64(len(buf))})
 	s.indexEntry(len(s.entries) - 1)
+	if m.hasFP {
+		s.dictPutLocked(seq, r)
+	}
 	s.stats.Appends++
 	elapsed := s.opt.Now().Sub(start).Nanoseconds()
 	s.stats.AppendLastNanos = elapsed
@@ -572,31 +575,42 @@ func (s *Store) Stats() Stats {
 }
 
 // readEntry preads and decodes one record. Caller holds at least the
-// read lock; segment bytes are immutable while indexed. Concurrent
-// readers share the segment's cached handle — ReadAt carries its own
-// offset, so no further locking is needed here.
+// read lock.
 func (s *Store) readEntry(e *entry) (Record, error) {
-	info := s.segs[e.seg]
-	if info == nil {
-		return Record{}, fmt.Errorf("appstore: segment %d vanished from the index", e.seg)
-	}
-	rd, err := s.readHandle(e.seg, info)
+	payload, err := s.readPayload(e, make([]byte, e.n))
 	if err != nil {
 		return Record{}, err
 	}
-	buf := make([]byte, e.n)
+	_, r, err := decodeRecordPayload(payload)
+	return r, err
+}
+
+// readPayload preads one record's frame into buf, which must have room
+// for e.n bytes, and returns its checked payload, which aliases buf.
+// Caller holds at least the read lock; segment bytes are immutable while
+// indexed. Concurrent readers share the segment's cached handle — ReadAt
+// carries its own offset, so no further locking is needed here.
+func (s *Store) readPayload(e *entry, buf []byte) ([]byte, error) {
+	info := s.segs[e.seg]
+	if info == nil {
+		return nil, fmt.Errorf("appstore: segment %d vanished from the index", e.seg)
+	}
+	rd, err := s.readHandle(e.seg, info)
+	if err != nil {
+		return nil, err
+	}
+	buf = buf[:e.n]
 	if _, err := rd.ReadAt(buf, e.off); err != nil {
-		return Record{}, fmt.Errorf("appstore: read record %d from segment %d: %w", e.seq, e.seg, err)
+		return nil, fmt.Errorf("appstore: read record %d from segment %d: %w", e.seq, e.seg, err)
 	}
 	payload, rest, err := seglog.Split(buf, maxPayload)
 	if err != nil {
-		return Record{}, fmt.Errorf("appstore: record %d failed its frame check: %w", e.seq, err)
+		return nil, fmt.Errorf("appstore: record %d failed its frame check: %w", e.seq, err)
 	}
 	if len(rest) != 0 {
-		return Record{}, fmt.Errorf("appstore: record %d frame length drifted", e.seq)
+		return nil, fmt.Errorf("appstore: record %d frame length drifted", e.seq)
 	}
-	_, r, err := decodeRecordPayload(payload)
-	return r, err
+	return payload, nil
 }
 
 // readHandle returns the segment's cached read handle, opening it
@@ -798,43 +812,4 @@ func (s *Store) TotalExecution() time.Duration {
 		}
 	}
 	return sum
-}
-
-// Fingerprints returns the fingerprint dictionary — each application's
-// most recent fingerprinted live record. Only those records' bodies are
-// read, so the finalize-path dictionary lookup is O(apps), not
-// O(records). An unreadable dictionary entry drops its application from
-// the map; the partial dictionary is returned alongside an error naming
-// the loss, so the caller can log that matching degraded rather than
-// silently losing applications.
-func (s *Store) Fingerprints() (map[string]phase.Fingerprint, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make(map[string]phase.Fingerprint)
-	var firstErr error
-	failed := 0
-	for app, idxs := range s.byApp {
-		for i := len(idxs) - 1; i >= 0; i-- {
-			e := &s.entries[idxs[i]]
-			if e.dead || !e.hasFP {
-				continue
-			}
-			r, err := s.readEntry(e)
-			if err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-				failed++
-				break
-			}
-			if r.Fingerprint != nil && !r.Fingerprint.Empty() {
-				out[app] = *r.Fingerprint
-			}
-			break
-		}
-	}
-	if firstErr != nil {
-		return out, fmt.Errorf("appstore: %d unreadable fingerprint dictionary entr(ies): %w", failed, firstErr)
-	}
-	return out, nil
 }

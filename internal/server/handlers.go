@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/pprof"
+	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -457,27 +458,25 @@ type fingerprintEntry struct {
 // application's latest fingerprinted run, the corpus finalizing
 // sessions are matched against.
 func (s *Server) handleFingerprints(w http.ResponseWriter, r *http.Request) {
-	db := s.cfg.DB
+	dict := s.cfg.DB.Dictionary()
+	apps := make([]string, 0, len(dict))
+	for app := range dict {
+		apps = append(apps, app)
+	}
+	sort.Strings(apps)
 	out := struct {
 		Count        int                `json:"count"`
 		Fingerprints []fingerprintEntry `json:"fingerprints"`
 	}{}
-	for _, app := range db.Apps() {
-		rs := db.Runs(app)
-		for i := len(rs) - 1; i >= 0; i-- {
-			fp := rs[i].Fingerprint
-			if fp == nil || fp.Empty() {
-				continue
-			}
-			out.Fingerprints = append(out.Fingerprints, fingerprintEntry{
-				App:        app,
-				Summary:    fp.String(),
-				Phases:     fp.Phases,
-				MatchedApp: rs[i].MatchedApp,
-				MatchScore: rs[i].MatchScore,
-			})
-			break
-		}
+	for _, app := range apps {
+		e := dict[app]
+		out.Fingerprints = append(out.Fingerprints, fingerprintEntry{
+			App:        app,
+			Summary:    e.Fingerprint.String(),
+			Phases:     e.Fingerprint.Phases,
+			MatchedApp: e.MatchedApp,
+			MatchScore: e.MatchScore,
+		})
 	}
 	out.Count = len(out.Fingerprints)
 	writeJSON(w, http.StatusOK, out)
@@ -524,13 +523,17 @@ func (s *Server) handleFinish(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "finalized %s but no record: %v", vm, err)
 		return
 	}
+	// Summarize counts the runs from the index, reading no record body.
+	// Its only error is "no records", possible only if a prune raced
+	// this finish, and then 0 is the count.
+	sum, _ := s.cfg.DB.Summarize(vm)
 	writeJSON(w, http.StatusOK, finishResponse{
 		VM:             vm,
 		Class:          string(rec.Class),
 		Composition:    rec.Composition,
 		ExecutionSecs:  rec.ExecutionTime.Seconds(),
 		Samples:        rec.Samples,
-		HistoricalRuns: len(s.cfg.DB.Runs(vm)),
+		HistoricalRuns: sum.Runs,
 		Verdict:        string(rec.Verdict),
 		Phases:         len(rec.Phases),
 		MatchedApp:     rec.MatchedApp,

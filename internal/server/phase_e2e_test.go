@@ -11,6 +11,8 @@ import (
 	"time"
 
 	"repro/internal/appclass"
+	"repro/internal/appdb"
+	"repro/internal/appstore"
 	"repro/internal/metrics"
 	"repro/internal/wal"
 )
@@ -249,6 +251,68 @@ func TestFingerprintMatchesAcrossRuns(t *testing.T) {
 	decodeJSON(t, getJSON(t, s, "/v1/fingerprints"), &fps)
 	if fps.Count != 2 {
 		t.Errorf("fingerprint dictionary has %d entries, want 2", fps.Count)
+	}
+}
+
+// TestFingerprintsEndpointMatchesRunHistory finishes runs on both
+// database engines and checks GET /v1/fingerprints byte for byte
+// against the dictionary read off every application's run history —
+// its newest fingerprinted run — and each finish's historical_runs
+// against the application's run count.
+func TestFingerprintsEndpointMatchesRunHistory(t *testing.T) {
+	traceA, _ := splicedTrace(t, "vm", "SPECseis96_C", "PostMark")
+	traceB, _ := splicedTrace(t, "vm", "PostMark", "SPECseis96_C")
+	store, err := appdb.Open(t.TempDir()+"/store", appstore.Options{NoFsync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { store.Close() })
+	for name, db := range map[string]*appdb.DB{"memory": appdb.New(), "store": store} {
+		t.Run(name, func(t *testing.T) {
+			s := newTestServer(t, Config{DB: db})
+			for i, run := range []struct {
+				vm    string
+				trace *metrics.Trace
+			}{{"fp-a", traceA}, {"fp-b", traceB}, {"fp-a", traceB}, {"fp-c", traceA}, {"fp-a", traceA}} {
+				ingestTraceRange(t, s, run.vm, run.trace, 0, run.trace.Len())
+				var fin finishResponse
+				decodeJSON(t, postJSON(t, s.Handler(), "/v1/vms/"+run.vm+"/finish", nil), &fin)
+				if want := len(db.Runs(run.vm)); fin.HistoricalRuns != want {
+					t.Errorf("finish %d (%s): historical_runs %d, want %d", i, run.vm, fin.HistoricalRuns, want)
+				}
+			}
+			want := struct {
+				Count        int                `json:"count"`
+				Fingerprints []fingerprintEntry `json:"fingerprints"`
+			}{}
+			for _, app := range db.Apps() {
+				rs := db.Runs(app)
+				for i := len(rs) - 1; i >= 0; i-- {
+					if fp := rs[i].Fingerprint; fp != nil && !fp.Empty() {
+						want.Fingerprints = append(want.Fingerprints, fingerprintEntry{
+							App: app, Summary: fp.String(), Phases: fp.Phases,
+							MatchedApp: rs[i].MatchedApp, MatchScore: rs[i].MatchScore,
+						})
+						break
+					}
+				}
+			}
+			want.Count = len(want.Fingerprints)
+			matched := 0
+			for _, e := range want.Fingerprints {
+				if e.MatchedApp != "" {
+					matched++
+				}
+			}
+			if want.Count != 3 || matched == 0 {
+				t.Fatalf("run history has %d fingerprinted apps, %d with a match; want 3, some matched", want.Count, matched)
+			}
+			wantBody := httptest.NewRecorder()
+			writeJSON(wantBody, http.StatusOK, want)
+			if got := getJSON(t, s, "/v1/fingerprints").Body.String(); got != wantBody.Body.String() {
+				t.Errorf("GET /v1/fingerprints =\n%s\nwant\n%s", got, wantBody.Body.String())
+			}
+		})
 	}
 }
 
